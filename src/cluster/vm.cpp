@@ -1,5 +1,7 @@
 #include "cluster/vm.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -55,15 +57,14 @@ void Vm::fail() {
   FLOG(kDebug, "cluster", "vm " << id_ << " failed");
   state_ = VmState::kFailed;
   disk_.fail();
-  auto slices = active_slices_;
-  active_slices_.clear();
-  for (const auto& slice : slices) {
+  for (Slice* slice : active_slices_) {
     if (slice->done) continue;
     slice->done = true;
     slice->ok = false;
     if (slice->timer.pending()) sim_.cancel(slice->timer);
-    slice->signal->trigger();
+    slice->signal.trigger();
   }
+  active_slices_.clear();
 }
 
 void Vm::terminate() {
@@ -85,21 +86,24 @@ sim::Task<ComputeResult> Vm::compute(SimTime seconds) {
   }
 
   ++busy_cores_;
-  auto slice = std::make_shared<Slice>();
-  slice->signal = std::make_unique<sim::Signal>(sim_);
-  slice->timer = sim_.schedule_in(seconds, [slice] {
-    slice->done = true;
-    slice->signal->trigger();
+  Slice slice(sim_);
+  slice.timer = sim_.schedule_in(seconds, [s = &slice] {
+    s->done = true;
+    s->signal.trigger();
   });
-  active_slices_.insert(slice);
+  active_slices_.push_back(&slice);
 
-  co_await slice->signal->wait();
+  co_await slice.signal.wait();
 
-  active_slices_.erase(slice);
+  // fail() has already emptied the list when it interrupted this slice.
+  if (const auto it = std::find(active_slices_.begin(), active_slices_.end(), &slice);
+      it != active_slices_.end()) {
+    active_slices_.erase(it);
+  }
   --busy_cores_;
-  if (slice->ok) core_seconds_used_ += seconds;
+  if (slice.ok) core_seconds_used_ += seconds;
   cores_.release();
-  co_return ComputeResult{slice->ok, sim_.now() - start};
+  co_return ComputeResult{slice.ok, sim_.now() - start};
 }
 
 }  // namespace frieda::cluster

@@ -9,9 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "common/units.hpp"
 #include "net/network.hpp"
@@ -99,11 +98,13 @@ class Vm {
   SimTime core_seconds_used() const { return core_seconds_used_; }
 
  private:
+  /// One running computation; lives in the compute() coroutine frame.
   struct Slice {
+    explicit Slice(sim::Simulation& sim) : signal(sim) {}
     bool done = false;
     bool ok = true;
     sim::EventQueue::Handle timer;
-    std::unique_ptr<sim::Signal> signal;
+    sim::Signal signal;
   };
 
   sim::Simulation& sim_;
@@ -115,7 +116,7 @@ class Vm {
   sim::Semaphore cores_;
   unsigned busy_cores_ = 0;
   SimTime core_seconds_used_ = 0.0;
-  std::unordered_set<std::shared_ptr<Slice>> active_slices_;
+  std::vector<Slice*> active_slices_;  ///< running slices, in start order
 };
 
 }  // namespace frieda::cluster

@@ -21,19 +21,28 @@ std::size_t placeholder_index(const std::string& token) {
 CommandTemplate::CommandTemplate(const std::string& spec) : spec_(strutil::trim(spec)) {
   std::istringstream in(spec_);
   std::string token;
-  while (in >> token) tokens_.push_back(token);
-  FRIEDA_CHECK(!tokens_.empty(), "empty command template");
-
+  std::string literal;
   std::set<std::size_t> seen;
-  for (const auto& t : tokens_) {
-    const std::size_t idx = placeholder_index(t);
+  while (in >> token) {
+    if (program_.empty()) {
+      program_ = token;
+    } else {
+      literal += ' ';
+    }
+    const std::size_t idx = placeholder_index(token);
     if (idx == 0) {
-      FRIEDA_CHECK(!strutil::starts_with(t, "$inp"),
-                   "malformed input placeholder '" << t << "' (use $inp1, $inp2, ...)");
+      FRIEDA_CHECK(!strutil::starts_with(token, "$inp"),
+                   "malformed input placeholder '" << token << "' (use $inp1, $inp2, ...)");
+      literal += token;
       continue;
     }
     FRIEDA_CHECK(seen.insert(idx).second, "duplicate placeholder $inp" << idx);
+    literals_.push_back(std::move(literal));
+    literal.clear();
+    slots_.push_back(idx - 1);
   }
+  FRIEDA_CHECK(!program_.empty(), "empty command template");
+  literals_.push_back(std::move(literal));
   arity_ = seen.size();
   // Dense check: placeholders must be exactly {1..K}.
   for (std::size_t i = 1; i <= arity_; ++i) {
@@ -41,29 +50,41 @@ CommandTemplate::CommandTemplate(const std::string& spec) : spec_(strutil::trim(
   }
 }
 
+template <typename AppendPath>
+std::string CommandTemplate::assemble(std::size_t reserve, AppendPath&& append_path) const {
+  for (const auto& lit : literals_) reserve += lit.size();
+  std::string out;
+  out.reserve(reserve);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    out += literals_[i];
+    append_path(out, slots_[i]);
+  }
+  out += literals_.back();
+  return out;
+}
+
 std::string CommandTemplate::bind(const std::vector<std::string>& paths) const {
   FRIEDA_CHECK(paths.size() == arity_, "template expects " << arity_ << " inputs, got "
                                                            << paths.size());
-  std::ostringstream out;
-  for (std::size_t i = 0; i < tokens_.size(); ++i) {
-    if (i) out << ' ';
-    const std::size_t idx = placeholder_index(tokens_[i]);
-    if (idx > 0) {
-      out << paths[idx - 1];
-    } else {
-      out << tokens_[i];
-    }
-  }
-  return out.str();
+  std::size_t bytes = 0;
+  for (const auto slot : slots_) bytes += paths[slot].size();
+  return assemble(bytes, [&](std::string& out, std::size_t slot) { out += paths[slot]; });
 }
 
 std::string CommandTemplate::bind_unit(const WorkUnit& unit,
                                        const storage::FileCatalog& catalog,
                                        const std::string& staging_dir) const {
-  std::vector<std::string> paths;
-  paths.reserve(unit.inputs.size());
-  for (const auto f : unit.inputs) paths.push_back(staging_dir + "/" + catalog.info(f).name);
-  return bind(paths);
+  FRIEDA_CHECK(unit.inputs.size() == arity_, "template expects " << arity_ << " inputs, got "
+                                                                 << unit.inputs.size());
+  std::size_t bytes = 0;
+  for (const auto slot : slots_) {
+    bytes += staging_dir.size() + 1 + catalog.info(unit.inputs[slot]).name.size();
+  }
+  return assemble(bytes, [&](std::string& out, std::size_t slot) {
+    out += staging_dir;
+    out += '/';
+    out += catalog.info(unit.inputs[slot]).name;
+  });
 }
 
 std::vector<std::string> CommandTemplate::bind_all(const std::vector<WorkUnit>& units,

@@ -29,7 +29,7 @@ class CommandTemplate {
   std::size_t input_arity() const { return arity_; }
 
   /// The program token (first word).
-  const std::string& program() const { return tokens_.front(); }
+  const std::string& program() const { return program_; }
 
   /// Raw template text.
   const std::string& spec() const { return spec_; }
@@ -53,8 +53,19 @@ class CommandTemplate {
   bool accepts(const WorkUnit& unit) const { return unit.inputs.size() == arity_; }
 
  private:
+  /// The literal runs interleaved with append_path(out, slot) per
+  /// placeholder, in one string reserved for the literals plus `reserve`
+  /// bytes of paths.
+  template <typename AppendPath>
+  std::string assemble(std::size_t reserve, AppendPath&& append_path) const;
+
   std::string spec_;
-  std::vector<std::string> tokens_;  // split on whitespace
+  std::string program_;
+  // The template pre-split around its placeholders, words joined by single
+  // spaces: a bound command is literals_[0] + path(slots_[0]) + literals_[1]
+  // + ... + path(slots_[K-1]) + literals_[K].
+  std::vector<std::string> literals_;
+  std::vector<std::size_t> slots_;  // 0-based input index per placeholder
   std::size_t arity_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -13,6 +14,15 @@
 #include "sim/sync.hpp"
 
 namespace frieda::core {
+
+namespace {
+/// The pin entry of `file` in a VM's (FileId, count) pin list, or end().
+template <typename Pins>
+auto find_pin(Pins& pins, storage::FileId file) {
+  return std::find_if(pins.begin(), pins.end(),
+                      [file](const auto& pin) { return pin.first == file; });
+}
+}  // namespace
 
 FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalog& catalog,
                      std::vector<WorkUnit> units, const AppModel& app, CommandTemplate command,
@@ -61,6 +71,7 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
   }
 
   handed_.assign(units_.size(), 0);
+  unit_pin_vm_.assign(units_.size(), kNoVm);
   inbox_ = std::make_unique<sim::Channel<InboxMessage>>(sim_);
   events_ = std::make_unique<sim::Channel<ControllerEvent>>(sim_);
   master_done_ = std::make_unique<sim::Signal>(sim_);
@@ -283,10 +294,10 @@ void FriedaRun::seed_replica(cluster::VmId vm, storage::FileId file) {
 
 std::optional<net::NodeId> FriedaRun::replica_source(storage::FileId file,
                                                      net::NodeId target) {
-  const auto nodes = replicas_.nodes_with(file);
+  const auto& nodes = replicas_.nodes_with(file);
   if (nodes.empty()) return std::nullopt;
   const auto source = cluster_.source_node();
-  if (std::find(nodes.begin(), nodes.end(), source) != nodes.end()) return source;
+  if (replicas_.has(file, source)) return source;
   const auto& topo = cluster_.network().topology();
   for (const auto n : nodes) {
     if (n != target && topo.site(n) == topo.site(target)) return n;
@@ -365,8 +376,13 @@ void FriedaRun::force_requeue(WorkUnitId unit) {
 
 void FriedaRun::remove_vm(cluster::VmId vm) { events_->try_send(EvRemoveVm{vm}); }
 
+FriedaRun::VmCtx& FriedaRun::vm_ctx(cluster::VmId vm) {
+  if (vm >= vms_.size()) vms_.resize(std::size_t{vm} + 1);
+  return vms_[vm];
+}
+
 sim::Signal& FriedaRun::node_ready(cluster::VmId vm) {
-  auto& slot = node_ready_[vm];
+  auto& slot = vm_ctx(vm).ready;
   if (!slot) slot = std::make_unique<sim::Signal>(sim_);
   return *slot;
 }
@@ -530,7 +546,7 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
     }
     for (const auto w : add->workers) {
       const auto vm = workers_[w]->vm;
-      if (!node_ready_.count(vm)) {
+      if (!vm_ctx(vm).ready) {
         sim_.spawn(stage_common_data(vm), "stage-common-elastic");
       }
     }
@@ -668,7 +684,7 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   }
 
   SimTime transfer_s = 0.0;
-  bool ok = !invalid_nodes_.count(ws.vm);  // common data never arrived there
+  bool ok = !vm_ctx(ws.vm).invalid;  // common data never arrived there
   if (ok && !streams_inputs()) {
     const auto node = cluster_.vm(ws.vm).node();
     // Inputs of in-flight units are pinned so concurrent dispatches cannot
@@ -688,7 +704,7 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
               return other.unit != unit && other.status == UnitStatus::kInFlight &&
                      handed_[other.unit] && workers_[other.worker]->vm == ws.vm;
             });
-        const bool other_staging = staging_active_[ws.vm] > 0;
+        const bool other_staging = vm_ctx(ws.vm).staging_active > 0;
         if ((!other_executing && !other_staging) || ws.isolated || finished_ ||
             ++retries > 10000) {
           FLOG(kWarn, "master", "vm " << ws.vm << " local disk full; cannot stage unit "
@@ -708,10 +724,10 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
         ok = false;
         break;
       }
-      ++staging_active_[ws.vm];
+      ++vm_ctx(ws.vm).staging_active;
       const auto r = co_await cluster_.network().transfer(
           *src, node, catalog_.info(f).size, options_.transfer_streams);
-      --staging_active_[ws.vm];
+      --vm_ctx(ws.vm).staging_active;
       timeline_.record(ActivityKind::kTransfer, r.started, r.finished,
                        "input:" + catalog_.info(f).name);
       if (tracer_) {
@@ -904,15 +920,15 @@ bool FriedaRun::reserve_disk(cluster::VmId vm, Bytes size, bool allow_eviction) 
 }
 
 bool FriedaRun::evict_one_replica(cluster::VmId vm) {
-  auto& order = staged_order_[vm];
+  auto& ctx = vm_ctx(vm);
+  auto& order = ctx.staged_order;
   const auto node = cluster_.vm(vm).node();
-  auto& pinned = pins_[vm];
   for (auto it = order.begin(); it != order.end(); ++it) {
     const storage::FileId file = *it;
     if (!replicas_.has(file, node)) {
       continue;  // already gone (node churn); lazily skipped
     }
-    if (const auto pin = pinned.find(file); pin != pinned.end() && pin->second > 0) {
+    if (find_pin(ctx.pins, file) != ctx.pins.end()) {
       continue;  // an in-flight unit still needs it
     }
     if (replicas_.replica_count(file) <= 1) {
@@ -932,25 +948,30 @@ bool FriedaRun::evict_one_replica(cluster::VmId vm) {
 }
 
 void FriedaRun::note_staged(cluster::VmId vm, storage::FileId file) {
-  staged_order_[vm].push_back(file);
+  vm_ctx(vm).staged_order.push_back(file);
 }
 
 void FriedaRun::pin_unit(WorkUnitId unit, cluster::VmId vm) {
   unit_pin_vm_[unit] = vm;
-  auto& pinned = pins_[vm];
-  for (const auto f : units_[unit].inputs) ++pinned[f];
+  auto& pins = vm_ctx(vm).pins;
+  for (const auto f : units_[unit].inputs) {
+    const auto pin = find_pin(pins, f);
+    if (pin == pins.end()) {
+      pins.emplace_back(f, 1);
+    } else {
+      ++pin->second;
+    }
+  }
 }
 
 void FriedaRun::unpin_unit(WorkUnitId unit) {
-  const auto it = unit_pin_vm_.find(unit);
-  if (it == unit_pin_vm_.end()) return;
-  auto& pinned = pins_[it->second];
+  const cluster::VmId vm = std::exchange(unit_pin_vm_[unit], kNoVm);
+  if (vm == kNoVm) return;
+  auto& pins = vms_[vm].pins;
   for (const auto f : units_[unit].inputs) {
-    if (const auto pin = pinned.find(f); pin != pinned.end() && --pin->second <= 0) {
-      pinned.erase(pin);
-    }
+    const auto pin = find_pin(pins, f);
+    if (pin != pins.end() && --pin->second <= 0) pins.erase(pin);
   }
-  unit_pin_vm_.erase(it);
 }
 
 void FriedaRun::invalidate_unstaged_preassignments() {
@@ -1144,7 +1165,7 @@ sim::Task<> FriedaRun::stage_common_data(cluster::VmId vm) {
   if (!reserve_disk(vm, common, /*allow_eviction=*/false)) {
     FLOG(kError, "master",
          "common data does not fit on vm " << vm << "; its workers cannot run");
-    invalid_nodes_.insert(vm);
+    vm_ctx(vm).invalid = true;
     ready.trigger();
     co_return;
   }

@@ -26,8 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -331,17 +330,24 @@ class FriedaRun {
 
   std::unique_ptr<sim::Channel<InboxMessage>> inbox_;
   std::unique_ptr<sim::Channel<ControllerEvent>> events_;
-  std::unordered_map<cluster::VmId, std::unique_ptr<sim::Signal>> node_ready_;
   std::unique_ptr<sim::Signal> master_done_;
 
-  // Disk accounting state: staged arrival order (eviction candidates), pin
-  // counts of inputs referenced by in-flight units, units' pin locations,
-  // and nodes whose common data could not be staged.
-  std::unordered_map<cluster::VmId, std::deque<storage::FileId>> staged_order_;
-  std::unordered_map<cluster::VmId, std::unordered_map<storage::FileId, int>> pins_;
-  std::unordered_map<WorkUnitId, cluster::VmId> unit_pin_vm_;
-  std::unordered_set<cluster::VmId> invalid_nodes_;
-  std::unordered_map<cluster::VmId, int> staging_active_;  ///< transfers in flight
+  // Per-VM master state: common-data readiness and the disk accounting —
+  // staged arrival order (eviction candidates), pin counts of inputs
+  // referenced by in-flight units, transfers in flight, and whether the
+  // common data could not be staged.
+  struct VmCtx {
+    std::unique_ptr<sim::Signal> ready;  ///< created on first use
+    std::vector<storage::FileId> staged_order;
+    std::vector<std::pair<storage::FileId, int>> pins;  ///< (file, count > 0)
+    int staging_active = 0;
+    bool invalid = false;
+  };
+  /// vms_[vm], growing the table for VMs minted after construction.
+  VmCtx& vm_ctx(cluster::VmId vm);
+  std::vector<VmCtx> vms_;
+  static constexpr cluster::VmId kNoVm = ~cluster::VmId{0};
+  std::vector<cluster::VmId> unit_pin_vm_;  ///< [unit] -> VM pinning its inputs
 
   // Master crash/recovery state: the epoch invalidates dispatches that were
   // mid-staging when the master died; handed_[u] records whether unit u's

@@ -23,11 +23,15 @@ void Simulation::cancel(EventQueue::Handle& h) { queue_.cancel(h); }
 
 void Simulation::spawn(Task<> task, std::string name) {
   FRIEDA_CHECK(task.valid(), "spawn of an empty task");
-  const std::uint64_t id = next_root_id_++;
-  auto [it, inserted] = roots_.emplace(id, Root{std::move(task), std::move(name)});
-  FRIEDA_CHECK(inserted, "duplicate root id");
-  auto handle = it->second.task.handle();
-  handle.promise().on_done = [this, id] { finished_roots_.push_back(id); };
+  if (free_roots_.empty()) {
+    free_roots_.push_back(static_cast<std::uint32_t>(roots_.size()));
+    roots_.emplace_back();
+  }
+  const std::uint32_t slot = free_roots_.back();
+  free_roots_.pop_back();
+  roots_[slot] = Root{std::move(task), std::move(name)};
+  auto handle = roots_[slot].task.handle();
+  handle.promise().on_done = [this, slot] { finished_roots_.push_back(slot); };
   schedule_in(0.0, [handle] {
     if (!handle.done()) handle.resume();
   });
@@ -43,17 +47,17 @@ void Simulation::dispatch_one() {
 
 void Simulation::collect_finished_roots() {
   while (!finished_roots_.empty()) {
-    const std::uint64_t id = finished_roots_.back();
+    const std::uint32_t slot = finished_roots_.back();
     finished_roots_.pop_back();
-    auto it = roots_.find(id);
-    if (it == roots_.end()) continue;
-    auto& promise = it->second.task.handle().promise();
+    Root& root = roots_[slot];
+    auto& promise = root.task.handle().promise();
     if (promise.exception && !first_error_) {
       first_error_ = promise.exception;
-      FLOG(kError, "sim", "root process '" << it->second.name << "' terminated with an exception");
+      FLOG(kError, "sim", "root process '" << root.name << "' terminated with an exception");
       stopped_ = true;
     }
-    roots_.erase(it);
+    root = Root{};
+    free_roots_.push_back(slot);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -65,7 +64,7 @@ class Simulation {
   const EventQueue::Counters& event_counters() const { return queue_.counters(); }
 
   /// Number of live root processes.
-  std::size_t live_processes() const { return roots_.size(); }
+  std::size_t live_processes() const { return roots_.size() - free_roots_.size(); }
 
   /// Simulation-wide RNG (fork() it for per-component streams).
   Rng& rng() { return rng_; }
@@ -96,12 +95,12 @@ class Simulation {
   Rng rng_;
 
   struct Root {
-    Task<> task;
+    Task<> task;  ///< empty while the slot is free
     std::string name;
   };
-  std::uint64_t next_root_id_ = 0;
-  std::unordered_map<std::uint64_t, Root> roots_;
-  std::vector<std::uint64_t> finished_roots_;
+  std::vector<Root> roots_;                  ///< slab indexed by root slot
+  std::vector<std::uint32_t> free_roots_;    ///< slots to recycle
+  std::vector<std::uint32_t> finished_roots_;
   std::exception_ptr first_error_{};
 };
 

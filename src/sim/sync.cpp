@@ -4,14 +4,21 @@
 
 namespace frieda::sim {
 
+namespace {
+/// Schedule every waiter's resumption in wait order.  Scheduling never runs
+/// a callback, so no waiter can be added while the list is walked.
+void wake_all(Simulation& sim, std::vector<std::coroutine_handle<>>& waiters) {
+  for (auto h : waiters) {
+    sim.schedule_in(0.0, [h] { h.resume(); });
+  }
+  waiters.clear();
+}
+}  // namespace
+
 void Signal::trigger() {
   if (triggered_) return;
   triggered_ = true;
-  std::deque<std::coroutine_handle<>> waiters;
-  waiters.swap(waiters_);
-  for (auto h : waiters) {
-    sim_.schedule_in(0.0, [h] { h.resume(); });
-  }
+  wake_all(sim_, waiters_);
 }
 
 Semaphore::Semaphore(Simulation& sim, std::int64_t permits) : sim_(sim), permits_(permits) {
@@ -36,13 +43,7 @@ void WaitGroup::add(std::int64_t n) {
 void WaitGroup::done() {
   FRIEDA_CHECK(count_ > 0, "WaitGroup::done below zero");
   --count_;
-  if (count_ == 0) {
-    std::deque<std::coroutine_handle<>> waiters;
-    waiters.swap(waiters_);
-    for (auto h : waiters) {
-      sim_.schedule_in(0.0, [h] { h.resume(); });
-    }
-  }
+  if (count_ == 0) wake_all(sim_, waiters_);
 }
 
 }  // namespace frieda::sim

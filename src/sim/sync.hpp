@@ -11,6 +11,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "sim/simulation.hpp"
 
@@ -44,7 +45,7 @@ class Signal {
  private:
   Simulation& sim_;
   bool triggered_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  ///< in wait order
 };
 
 /// Counting semaphore with FIFO handoff semantics: release() wakes the
@@ -121,7 +122,7 @@ class WaitGroup {
  private:
   Simulation& sim_;
   std::int64_t count_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  ///< in wait order
 };
 
 }  // namespace frieda::sim

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
@@ -90,13 +89,14 @@ class SharedService {
   std::size_t active() const { return ops_.size(); }
 
  private:
+  /// One in-flight operation; lives in the submit() coroutine frame.
   struct Op {
-    double remaining = 0.0;
+    Op(sim::Simulation& sim, double bytes) : remaining(bytes), signal(sim) {}
+    double remaining;
     bool done = false;
     bool ok = true;
-    std::unique_ptr<sim::Signal> signal;
+    sim::Signal signal;
   };
-  using OpPtr = std::shared_ptr<Op>;
 
   void advance();
   void reschedule();
@@ -104,7 +104,7 @@ class SharedService {
   sim::Simulation& sim_;
   Bandwidth rate_;
   bool failed_ = false;
-  std::vector<OpPtr> ops_;
+  std::vector<Op*> ops_;  ///< in-flight operations, in submission order
   SimTime last_advance_ = 0.0;
   sim::EventQueue::Handle completion_event_;
 };

@@ -24,59 +24,71 @@ std::vector<FileId> FileCatalog::all_ids() const {
   return ids;
 }
 
+namespace {
+
+/// Insert `v` into the sorted `ids` unless present; the common in-order
+/// append costs no search.
+template <typename Id>
+void insert_sorted(std::vector<Id>& ids, Id v) {
+  if (ids.empty() || ids.back() < v) {
+    ids.push_back(v);
+    return;
+  }
+  const auto it = std::lower_bound(ids.begin(), ids.end(), v);
+  if (*it != v) ids.insert(it, v);
+}
+
+/// Remove `v` from the sorted `ids` if present.
+template <typename Id>
+void erase_sorted(std::vector<Id>& ids, Id v) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), v);
+  if (it != ids.end() && *it == v) ids.erase(it);
+}
+
+/// `table[id]`, or an empty list for an id the table has never grown to.
+template <typename Id, typename Elem>
+const std::vector<Elem>& row(const std::vector<std::vector<Elem>>& table, Id id) {
+  static const std::vector<Elem> kEmpty;
+  return id < table.size() ? table[id] : kEmpty;
+}
+
+}  // namespace
+
 void ReplicaMap::add(FileId file, net::NodeId node) {
-  by_file_[file].insert(node);
-  by_node_[node].insert(file);
+  if (file >= by_file_.size()) by_file_.resize(std::size_t{file} + 1);
+  if (node >= by_node_.size()) by_node_.resize(std::size_t{node} + 1);
+  insert_sorted(by_file_[file], node);
+  insert_sorted(by_node_[node], file);
 }
 
 void ReplicaMap::remove(FileId file, net::NodeId node) {
-  if (auto it = by_file_.find(file); it != by_file_.end()) it->second.erase(node);
-  if (auto it = by_node_.find(node); it != by_node_.end()) it->second.erase(file);
+  if (file < by_file_.size()) erase_sorted(by_file_[file], node);
+  if (node < by_node_.size()) erase_sorted(by_node_[node], file);
 }
 
 bool ReplicaMap::has(FileId file, net::NodeId node) const {
-  const auto it = by_file_.find(file);
-  return it != by_file_.end() && it->second.count(node) > 0;
+  const auto& nodes = row(by_file_, file);
+  return std::binary_search(nodes.begin(), nodes.end(), node);
 }
 
-std::vector<net::NodeId> ReplicaMap::nodes_with(FileId file) const {
-  std::vector<net::NodeId> out;
-  if (const auto it = by_file_.find(file); it != by_file_.end()) {
-    out.assign(it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-  }
-  return out;
+const std::vector<net::NodeId>& ReplicaMap::nodes_with(FileId file) const {
+  return row(by_file_, file);
 }
 
-std::size_t ReplicaMap::replica_count(FileId file) const {
-  const auto it = by_file_.find(file);
-  return it == by_file_.end() ? 0 : it->second.size();
-}
-
-std::vector<FileId> ReplicaMap::files_on(net::NodeId node) const {
-  std::vector<FileId> out;
-  if (const auto it = by_node_.find(node); it != by_node_.end()) {
-    out.assign(it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-  }
-  return out;
+const std::vector<FileId>& ReplicaMap::files_on(net::NodeId node) const {
+  return row(by_node_, node);
 }
 
 Bytes ReplicaMap::bytes_on(net::NodeId node, const FileCatalog& catalog) const {
   Bytes total = 0;
-  if (const auto it = by_node_.find(node); it != by_node_.end()) {
-    for (FileId f : it->second) total += catalog.info(f).size;
-  }
+  for (FileId f : files_on(node)) total += catalog.info(f).size;
   return total;
 }
 
 void ReplicaMap::drop_node(net::NodeId node) {
-  const auto it = by_node_.find(node);
-  if (it == by_node_.end()) return;
-  for (FileId f : it->second) {
-    if (auto fit = by_file_.find(f); fit != by_file_.end()) fit->second.erase(node);
-  }
-  by_node_.erase(it);
+  if (node >= by_node_.size()) return;
+  for (FileId f : by_node_[node]) erase_sorted(by_file_[f], node);
+  by_node_[node] = {};
 }
 
 }  // namespace frieda::storage

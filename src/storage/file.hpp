@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.hpp"
@@ -55,7 +53,8 @@ class FileCatalog {
   Bytes total_bytes_ = 0;
 };
 
-/// Which node holds a replica of which file.
+/// Which node holds a replica of which file.  Both directions are dense
+/// tables indexed by id and kept sorted, so queries neither hash nor allocate.
 class ReplicaMap {
  public:
   /// Record that `node` holds `file`.  Idempotent.
@@ -67,14 +66,14 @@ class ReplicaMap {
   /// True when `node` holds `file`.
   bool has(FileId file, net::NodeId node) const;
 
-  /// All nodes holding `file` (unordered).
-  std::vector<net::NodeId> nodes_with(FileId file) const;
+  /// All nodes holding `file`, ascending (valid until the next mutation).
+  const std::vector<net::NodeId>& nodes_with(FileId file) const;
 
   /// Number of replicas of `file`.
-  std::size_t replica_count(FileId file) const;
+  std::size_t replica_count(FileId file) const { return nodes_with(file).size(); }
 
-  /// All files present on `node`.
-  std::vector<FileId> files_on(net::NodeId node) const;
+  /// All files present on `node`, ascending (valid until the next mutation).
+  const std::vector<FileId>& files_on(net::NodeId node) const;
 
   /// Bytes of catalog data resident on `node`.
   Bytes bytes_on(net::NodeId node, const FileCatalog& catalog) const;
@@ -84,8 +83,8 @@ class ReplicaMap {
   void drop_node(net::NodeId node);
 
  private:
-  std::unordered_map<FileId, std::unordered_set<net::NodeId>> by_file_;
-  std::unordered_map<net::NodeId, std::unordered_set<FileId>> by_node_;
+  std::vector<std::vector<net::NodeId>> by_file_;  ///< [file] -> sorted nodes
+  std::vector<std::vector<FileId>> by_node_;       ///< [node] -> sorted files
 };
 
 }  // namespace frieda::storage

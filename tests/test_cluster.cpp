@@ -128,6 +128,52 @@ TEST(Vm, FailureInterruptsCompute) {
   EXPECT_DOUBLE_EQ(cluster.vm(id).core_seconds_used(), 0.0);
 }
 
+TEST(Vm, FailureResumesRunningSlicesInStartOrder) {
+  sim::Simulation sim;
+  VirtualCluster cluster(sim);
+  auto type = c1_xlarge();  // 4 cores
+  type.boot_time = 0.0;
+  const VmId id = cluster.provision(type);
+  struct Woken {
+    int slice;
+    ComputeResult result;
+  };
+  std::vector<Woken> woke;
+  // Spawned in order 0..3 but started at 3, 1, 2, 0 s: start order 3, 1, 2, 0.
+  const std::vector<double> start_at{3.0, 1.0, 2.0, 0.0};
+  for (int i = 0; i < 4; ++i) {
+    sim.spawn([](sim::Simulation& s, VirtualCluster& c, VmId v, std::vector<Woken>& out,
+                 int me, double at) -> sim::Task<> {
+      co_await c.wait_running(v);
+      co_await s.delay(at);
+      const auto r = co_await c.vm(v).compute(100.0);
+      out.push_back({me, r});
+    }(sim, cluster, id, woke, i, start_at[static_cast<std::size_t>(i)]));
+  }
+  sim.schedule_at(10.0, [&] { cluster.fail_vm(id); });
+  sim.run();
+  ASSERT_EQ(woke.size(), 4u);
+  const std::vector<int> start_order{3, 1, 2, 0};
+  for (std::size_t k = 0; k < woke.size(); ++k) {
+    EXPECT_EQ(woke[k].slice, start_order[k]);
+    EXPECT_FALSE(woke[k].result.completed);
+    EXPECT_NEAR(woke[k].result.duration, 10.0 - start_at[static_cast<std::size_t>(woke[k].slice)],
+                1e-9);
+  }
+  EXPECT_EQ(cluster.vm(id).busy_cores(), 0u);
+  EXPECT_DOUBLE_EQ(cluster.vm(id).core_seconds_used(), 0.0);
+
+  // A failed VM accepts no new compute.
+  ComputeResult late{true, 99.0};
+  sim.spawn([](VirtualCluster& c, VmId v, ComputeResult& out) -> sim::Task<> {
+    out = co_await c.vm(v).compute(1.0);
+  }(cluster, id, late));
+  sim.run();
+  EXPECT_FALSE(late.completed);
+  EXPECT_DOUBLE_EQ(late.duration, 0.0);
+  EXPECT_EQ(cluster.vm(id).busy_cores(), 0u);
+}
+
 TEST(Vm, ComputeOnFailedVmReturnsImmediately) {
   sim::Simulation sim;
   VirtualCluster cluster(sim);

@@ -64,6 +64,41 @@ TEST(Command, BindUnitUsesCatalogNames) {
   EXPECT_FALSE(cmd.accepts(wrong));
 }
 
+TEST(Command, BindUnitMatchesBindWithOutOfOrderPlaceholders) {
+  storage::FileCatalog cat;
+  cat.add_file("q.fasta", MB);
+  cat.add_file("db.fasta", MB);
+  cat.add_file("extra.cfg", MB);
+  for (const std::string spec :
+       {"tool -x $inp2 --in $inp1 -o out", "$inp3 $inp1 $inp2", "run  $inp1   $inp3 mid $inp2 ",
+        "a b c $inp2 $inp3 $inp1 d e"}) {
+    const CommandTemplate cmd(spec);
+    WorkUnit unit;
+    for (storage::FileId f = 0; f < cmd.input_arity(); ++f) unit.inputs.push_back(f);
+    for (const std::string dir : {"/data", "/scratch/x", ""}) {
+      std::vector<std::string> paths;
+      for (const auto f : unit.inputs) paths.push_back(dir + "/" + cat.info(f).name);
+      EXPECT_EQ(cmd.bind_unit(unit, cat, dir), cmd.bind(paths)) << spec << " in " << dir;
+    }
+  }
+  EXPECT_EQ(CommandTemplate("tool -x $inp2 --in $inp1 -o out").bind_unit({0, {0, 1}}, cat),
+            "tool -x /data/db.fasta --in /data/q.fasta -o out");
+}
+
+TEST(Command, BindUnitArityMismatchThrows) {
+  storage::FileCatalog cat;
+  cat.add_file("a", MB);
+  cat.add_file("b", MB);
+  const CommandTemplate cmd("tool $inp2 $inp1");
+  WorkUnit one;
+  one.inputs = {0};
+  WorkUnit three;
+  three.inputs = {0, 1, 0};
+  EXPECT_THROW(cmd.bind_unit(one, cat), FriedaError);
+  EXPECT_THROW(cmd.bind_unit(three, cat), FriedaError);
+  EXPECT_THROW(CommandTemplate("hostname").bind_unit(one, cat), FriedaError);
+}
+
 TEST(Protocol, MessageNames) {
   EXPECT_STREQ(message_name(ControlMessage{StartMaster{}}), "START_MASTER");
   EXPECT_STREQ(message_name(ControlMessage{SetPartitionInfo{}}), "SET_PARTITION_INFO");

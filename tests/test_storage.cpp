@@ -67,6 +67,98 @@ TEST(ReplicaMap, BytesOnNode) {
   EXPECT_EQ(rm.bytes_on(9, cat), 0u);
 }
 
+TEST(ReplicaMap, FileOnEveryNode) {
+  // The pre_place_dataset shape: every file seeded on every node.
+  ReplicaMap rm;
+  const std::vector<net::NodeId> nodes{0, 2, 5, 9};
+  for (const auto n : nodes) {
+    for (FileId f = 0; f < 3; ++f) rm.add(f, n);
+  }
+  for (FileId f = 0; f < 3; ++f) {
+    EXPECT_EQ(rm.nodes_with(f), nodes);
+    EXPECT_EQ(rm.replica_count(f), nodes.size());
+    for (const auto n : nodes) EXPECT_TRUE(rm.has(f, n));
+    EXPECT_FALSE(rm.has(f, 1));
+  }
+  for (const auto n : nodes) EXPECT_EQ(rm.files_on(n), (std::vector<FileId>{0, 1, 2}));
+  rm.drop_node(5);
+  EXPECT_EQ(rm.nodes_with(1), (std::vector<net::NodeId>{0, 2, 9}));
+  EXPECT_TRUE(rm.files_on(5).empty());
+}
+
+TEST(ReplicaMap, OutOfOrderAddsStaySorted) {
+  ReplicaMap rm;
+  rm.add(4, 8);
+  rm.add(2, 8);
+  rm.add(4, 3);
+  rm.add(3, 8);
+  rm.add(4, 5);
+  EXPECT_EQ(rm.nodes_with(4), (std::vector<net::NodeId>{3, 5, 8}));
+  EXPECT_EQ(rm.files_on(8), (std::vector<FileId>{2, 3, 4}));
+}
+
+TEST(ReplicaMap, RemovingLastAndAbsentReplicas) {
+  ReplicaMap rm;
+  rm.add(0, 1);
+  rm.remove(0, 1);  // the last replica
+  EXPECT_FALSE(rm.has(0, 1));
+  EXPECT_EQ(rm.replica_count(0), 0u);
+  EXPECT_TRUE(rm.nodes_with(0).empty());
+  EXPECT_TRUE(rm.files_on(1).empty());
+  rm.remove(0, 1);    // already gone: no-op
+  rm.remove(7, 1);    // file never added: no-op
+  rm.remove(0, 42);   // node never seen: no-op
+  EXPECT_EQ(rm.replica_count(0), 0u);
+  EXPECT_EQ(rm.replica_count(7), 0u);
+}
+
+TEST(ReplicaMap, UnknownIdsAreEmpty) {
+  ReplicaMap rm;
+  EXPECT_FALSE(rm.has(0, 0));
+  EXPECT_TRUE(rm.nodes_with(12).empty());
+  EXPECT_EQ(rm.replica_count(12), 0u);
+  EXPECT_TRUE(rm.files_on(12).empty());
+  rm.add(1, 2);
+  EXPECT_FALSE(rm.has(100, 2));  // file id past the table
+  EXPECT_FALSE(rm.has(1, 100));  // node id past the table
+  EXPECT_FALSE(rm.has(0, 2));    // inside the table, never added
+  EXPECT_TRUE(rm.nodes_with(100).empty());
+  EXPECT_EQ(rm.replica_count(100), 0u);
+  rm.drop_node(100);  // unknown node: no-op
+  EXPECT_TRUE(rm.has(1, 2));
+}
+
+TEST(ReplicaMap, ReAddAfterDropNode) {
+  ReplicaMap rm;
+  rm.add(0, 3);
+  rm.add(1, 3);
+  rm.add(0, 4);
+  rm.drop_node(3);
+  rm.add(1, 3);
+  EXPECT_TRUE(rm.has(1, 3));
+  EXPECT_FALSE(rm.has(0, 3));
+  EXPECT_EQ(rm.files_on(3), (std::vector<FileId>{1}));
+  EXPECT_EQ(rm.nodes_with(0), (std::vector<net::NodeId>{4}));
+  EXPECT_EQ(rm.nodes_with(1), (std::vector<net::NodeId>{3}));
+}
+
+TEST(ReplicaMap, BytesOnAfterRemovals) {
+  FileCatalog cat;
+  cat.add_file("a", 5 * MB);
+  cat.add_file("b", 3 * MB);
+  cat.add_file("c", 2 * MB);
+  ReplicaMap rm;
+  for (FileId f = 0; f < 3; ++f) rm.add(f, 4);
+  EXPECT_EQ(rm.bytes_on(4, cat), 10 * MB);
+  rm.remove(1, 4);
+  EXPECT_EQ(rm.bytes_on(4, cat), 7 * MB);
+  rm.remove(1, 4);  // absent: unchanged
+  EXPECT_EQ(rm.bytes_on(4, cat), 7 * MB);
+  rm.remove(0, 4);
+  rm.remove(2, 4);
+  EXPECT_EQ(rm.bytes_on(4, cat), 0u);
+}
+
 TEST(StorageDevice, CapacityAccounting) {
   sim::Simulation sim;
   LocalDisk disk(sim, mBps(100), mBps(100), 10 * MB);

@@ -43,6 +43,25 @@ TEST(Signal, WaitAfterTriggerIsImmediate) {
   EXPECT_DOUBLE_EQ(when, 1.0);
 }
 
+TEST(Signal, ResumesWaitersInWaitOrder) {
+  Simulation sim;
+  Signal sig(sim);
+  std::vector<int> woke;
+  // Waiters arrive in the order 3, 1, 4, 2 (neither spawn nor id order).
+  const std::vector<std::pair<int, double>> arrivals{{1, 0.2}, {2, 0.4}, {3, 0.1}, {4, 0.3}};
+  for (const auto& [id, at] : arrivals) {
+    sim.spawn([](Simulation& s, Signal& sg, std::vector<int>& out, int me,
+                 double t) -> Task<> {
+      co_await s.delay(t);
+      co_await sg.wait();
+      out.push_back(me);
+    }(sim, sig, woke, id, at));
+  }
+  sim.schedule_at(1.0, [&] { sig.trigger(); });
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<int>{3, 1, 4, 2}));
+}
+
 TEST(Semaphore, LimitsConcurrency) {
   Simulation sim;
   Semaphore sem(sim, 2);
@@ -118,6 +137,28 @@ TEST(WaitGroup, WaitsForAll) {
   sim.run();
   EXPECT_DOUBLE_EQ(done_time, 3.0);
   EXPECT_EQ(wg.count(), 0);
+}
+
+TEST(WaitGroup, ResumesWaitersInWaitOrderAtZero) {
+  Simulation sim;
+  WaitGroup wg(sim);
+  wg.add(2);
+  std::vector<int> woke;
+  const std::vector<std::pair<int, double>> arrivals{{1, 0.3}, {2, 0.1}, {3, 0.2}};
+  for (const auto& [id, at] : arrivals) {
+    sim.spawn([](Simulation& s, WaitGroup& w, std::vector<int>& out, int me,
+                 double t) -> Task<> {
+      co_await s.delay(t);
+      co_await w.wait();
+      out.push_back(me);
+    }(sim, wg, woke, id, at));
+  }
+  sim.schedule_at(1.0, [&] { wg.done(); });
+  sim.schedule_at(2.0, [&] { wg.done(); });
+  sim.run_until(1.5);
+  EXPECT_TRUE(woke.empty());  // count is 1: nobody wakes
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<int>{2, 3, 1}));
 }
 
 TEST(WaitGroup, WaitOnZeroImmediate) {
