@@ -2,17 +2,14 @@
 // event queue throughput, coroutine channel round trips, the max-min fair
 // solver, partition generation, a full small FRIEDA run per iteration,
 // sweep-engine throughput (1 thread vs. a pool) on a fixed scenario grid,
-// sweep memoization (duplicate-heavy grid, uncached vs. warm cache), the
-// fork-based process backend on the same grid (thread vs. process), and
-// steal-half dispatch on a deliberately skewed grid (pinned vs. stealing).
+// and steal-half dispatch on a deliberately skewed grid (pinned vs.
+// stealing).
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "exp/grid.hpp"
-#include "frieda/assignment.hpp"
 #include "frieda/partition.hpp"
 #include "frieda/run.hpp"
-#include "frieda/template.hpp"
 #include "net/fairshare.hpp"
 #include "net/network.hpp"
 #include "sim/channel.hpp"
@@ -247,8 +244,9 @@ void BM_SweepThroughput(benchmark::State& state) {
       grid.add_blast(core::PlacementStrategy::kPrePartitionLocal, opt, model);
       grid.add_blast(core::PlacementStrategy::kRealTime, opt, model);
     }
-    exp::SweepRunner<> runner(exp::SweepOptions{threads});
-    runner.set_cache(nullptr);  // measuring execution, not memoization
+    exp::SweepOptions sopt{threads};
+    sopt.memoize = false;  // measuring execution, not memoization
+    exp::SweepRunner<> runner(sopt);
     const auto outcomes = runner.run(grid.take());
     for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
   }
@@ -256,40 +254,6 @@ void BM_SweepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepThroughput)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_SweepProcess(benchmark::State& state) {
-  // The fork backend on the same fixed 32-job BLAST grid as
-  // BM_SweepThroughput, at the same Arg(n) worker count: each job executes
-  // in a forked child and ships its report back over a pipe.  The delta
-  // against BM_SweepThroughput at equal Arg is the per-job isolation tax
-  // (fork + serialize + deserialize + reap).  Real time is the honest
-  // metric here — the process CPU clock does not include forked children.
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  workload::PaperScenarioOptions base;
-  base.scale = 0.1;
-  const auto model =
-      std::make_shared<const workload::BlastModel>(workload::make_blast_model(base));
-  for (auto _ : state) {
-    exp::Grid grid;
-    for (std::uint64_t s = 0; s < 8; ++s) {
-      auto opt = base;
-      opt.seed = exp::derive_seed(2012, s);
-      grid.add_blast(core::PlacementStrategy::kNoPartitionCommon, opt, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionRemote, opt, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionLocal, opt, model);
-      grid.add_blast(core::PlacementStrategy::kRealTime, opt, model);
-    }
-    exp::SweepOptions sopt{threads};
-    sopt.backend = exp::SweepBackend::kProcess;
-    exp::SweepRunner<> runner(sopt);
-    runner.set_cache(nullptr);  // measuring execution, not memoization
-    const auto outcomes = runner.run(grid.take());
-    for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_SweepProcess)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_SweepSteal(benchmark::State& state) {
   // Steal-half dispatch on a deliberately skewed grid: four heavy cells
@@ -323,106 +287,14 @@ void BM_SweepSteal(benchmark::State& state) {
     }
     exp::SweepOptions sopt{8};
     sopt.steal = steal;
+    sopt.memoize = false;
     exp::SweepRunner<> runner(sopt);
-    runner.set_cache(nullptr);
     const auto outcomes = runner.run(grid.take());
     for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_SweepSteal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SweepMemoized(benchmark::State& state) {
-  // Memoization measurement: a duplicate-heavy 32-job BLAST grid (the same
-  // 4 strategy cells repeated 8 times — the shape ablation drivers produce
-  // when several tables re-run a shared baseline).  Arg(0) runs with the
-  // cache disabled (all 32 cells execute); Arg(1) keeps one ResultCache warm
-  // across iterations, so every cell is served from cache and the duplicate
-  // cells' execution cost is eliminated.  The ratio is what cross-grid
-  // memoization buys; like BM_SweepThroughput it is wall-clock honest even
-  // on a single-core container, since no pool scaling is involved.
-  const bool memoized = state.range(0) == 1;
-  workload::PaperScenarioOptions base;
-  base.scale = 0.1;
-  const auto model =
-      std::make_shared<const workload::BlastModel>(workload::make_blast_model(base));
-  exp::ResultCache<core::RunReport> cache;  // local: iteration-to-iteration warmth
-  for (auto _ : state) {
-    exp::Grid grid;
-    for (int rep = 0; rep < 8; ++rep) {
-      grid.add_blast(core::PlacementStrategy::kNoPartitionCommon, base, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionRemote, base, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionLocal, base, model);
-      grid.add_blast(core::PlacementStrategy::kRealTime, base, model);
-    }
-    exp::SweepRunner<> runner(exp::SweepOptions{1});
-    runner.set_cache(memoized ? &cache : nullptr);
-    const auto outcomes = runner.run(grid.take());
-    for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_SweepMemoized)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ControlPlaneTemplate(benchmark::State& state) {
-  // Control-plane cost per unit, cold vs. warm.  Cold (range(1)==0) is what
-  // the first run of a scenario pays: partition generation plus a full
-  // template capture — one command binding per unit, the assignment table,
-  // and validation.  Warm (range(1)==1) is what every subsequent run pays:
-  // a store lookup plus the instantiation copies a run actually consumes
-  // (the unit list, the assignment table, one AssignWork prototype per
-  // unit).  The per-item ratio is what execution templates buy.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const bool warm = state.range(1) == 1;
-  storage::FileCatalog cat;
-  cat.add_file("query.fasta", 4 * MB);
-  for (std::size_t i = 0; i < n; ++i) {
-    cat.add_file("db" + std::to_string(i), MB + (i % 7) * 128 * 1024);
-  }
-  const core::CommandTemplate command("blastall -p blastp -i $inp1 -d $inp2");
-  constexpr std::size_t kWorkers = 16;
-  core::TemplateStore store;
-  const Fingerprint key =
-      StableHasher().mix_str("bench-control-plane").mix_u64(n).digest();
-  if (warm) {
-    auto units = core::PartitionGenerator::generate(core::PartitionScheme::kOneToAll, cat);
-    store.insert(key, core::ExecutionTemplate::capture(
-                          std::move(units), command, cat, "/data", true,
-                          core::AssignmentPolicy::kRoundRobin, kWorkers, 0, {}));
-  }
-  for (auto _ : state) {
-    if (warm) {
-      const auto tmpl = store.lookup(key);
-      std::vector<core::WorkUnit> units = tmpl->units();
-      std::vector<std::vector<core::WorkUnitId>> table = tmpl->assignment();
-      benchmark::DoNotOptimize(table);
-      for (std::size_t i = 0; i < units.size(); ++i) {
-        core::AssignWork work = tmpl->prototypes()[i];
-        benchmark::DoNotOptimize(work);
-      }
-      benchmark::DoNotOptimize(units);
-    } else {
-      store.clear();
-      auto units =
-          core::PartitionGenerator::generate(core::PartitionScheme::kOneToAll, cat);
-      auto tmpl = core::ExecutionTemplate::capture(
-          std::move(units), command, cat, "/data", true,
-          core::AssignmentPolicy::kRoundRobin, kWorkers, 0, {});
-      store.insert(key, std::move(tmpl));
-      benchmark::DoNotOptimize(store.size());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ControlPlaneTemplate)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

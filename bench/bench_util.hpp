@@ -37,7 +37,7 @@ inline void try_save(const CsvWriter& csv, const std::string& path) {
 
 /// Print the sweep's total wall clock so parallel speedups are visible in
 /// bench output, plus the scheduler's memoization counters (runs executed
-/// vs. requested — hits are cells served from the in-process result cache,
+/// vs. requested — hits are duplicate cells served from an executing twin,
 /// see docs/performance.md "Memoization and cost-aware scheduling").
 /// Printed outside the tables: every table and CSV stays byte-identical to
 /// sequential, uncached execution.

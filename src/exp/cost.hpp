@@ -6,8 +6,8 @@
 //   * `scenario_fingerprint` — the memoization key: a stable 128-bit hash of
 //     (app kind, execution mode, every PaperScenarioOptions field).  Returns
 //     nullopt for configurations that are not a pure function of those
-//     fields (arrange/tracer/metrics hooks), which keeps them out of the
-//     result cache entirely.
+//     fields (arrange/tracer/metrics hooks), which keeps them out of
+//     memoization entirely.
 //   * `scenario_cost` — a *relative* wall-time estimate used for
 //     longest-first dispatch: estimated work units (dataset size × scale
 //     through the app's partition scheme) divided by the number of program
@@ -33,16 +33,5 @@ std::optional<Fingerprint> scenario_fingerprint(const char* app, const char* mod
 /// available program-instance slots (1 for the sequential baselines).
 double scenario_cost(const char* app, bool sequential,
                      const workload::PaperScenarioOptions& opt);
-
-/// Execution-template key of a paper-scenario job — the control-plane
-/// analogue of `scenario_fingerprint`.  Where the result-cache key hashes
-/// *every* field (a seed change is a different result), the template key
-/// hashes only the structural ones (app, strategy, scale, NIC), so
-/// seed-/worker-shape-only reruns share one template and patch the rest
-/// (see frieda/template.hpp).  nullopt when the options carry an `arrange`
-/// hook, which no captured decision set can cover.
-std::optional<Fingerprint> scenario_template_fingerprint(
-    const char* app, core::PlacementStrategy strategy,
-    const workload::PaperScenarioOptions& opt);
 
 }  // namespace frieda::exp

@@ -26,15 +26,8 @@ JobId Grid::push_scenario(const char* app, const char* mode, bool sequential,
                           std::function<core::RunReport()> fn) {
   const JobId id = jobs_.size();
   if (tag.empty()) tag = default_tag(app, mode, id);
-  // Static estimate, scaled by the measured seconds-per-unit rate of this
-  // (app, strategy) class once the calibrator has observed one (grids run
-  // earlier in the process teach grids run later; see exp/calibrate.hpp).
-  const std::string key = std::string(app) + "/" + mode;
-  const double raw = scenario_cost(app, sequential, opt);
-  const double cost = calibrator_ != nullptr ? calibrator_->calibrated(key, raw) : raw;
   jobs_.push_back({std::move(tag), std::move(fn), scenario_fingerprint(app, mode, opt),
-                   cost});
-  jobs_.back().calibration = {key, raw};
+                   scenario_cost(app, sequential, opt)});
   return id;
 }
 

@@ -79,12 +79,6 @@ class Grid {
   /// Jobs accumulated so far.
   std::size_t size() const { return jobs_.size(); }
 
-  /// Replace the cost calibrator consulted when annotating scenario jobs
-  /// (default: the process-global CostCalibrator, which the runner feeds
-  /// with measured wall times).  nullptr pins jobs to the static
-  /// `scenario_cost` estimate — use in tests that assert exact schedules.
-  void set_calibrator(CostCalibrator* calibrator) { calibrator_ = calibrator; }
-
   /// Move the batch out (the grid is empty afterwards).
   std::vector<Job<core::RunReport>> take() { return std::move(jobs_); }
 
@@ -99,7 +93,6 @@ class Grid {
 
   std::uint64_t seed_base_ = 0;
   bool derive_seeds_ = false;
-  CostCalibrator* calibrator_ = &CostCalibrator::global();
   std::vector<Job<core::RunReport>> jobs_;
 };
 
@@ -148,16 +141,6 @@ class ScenarioSweep {
   /// The runner's progress metrics (jobs-completed / cache-hit counters,
   /// in-flight gauge, wall-per-job stats).
   obs::MetricsRegistry& metrics() { return runner_.metrics(); }
-
-  /// Replace or disable the consulted result cache (see SweepRunner).
-  void set_cache(ResultCache<core::RunReport>* cache) { runner_.set_cache(cache); }
-
-  /// Replace or disable cost calibration for both the grid's job
-  /// annotations and the runner's measured-wall-time feedback.
-  void set_calibrator(CostCalibrator* calibrator) {
-    grid_.set_calibrator(calibrator);
-    runner_.set_calibrator(calibrator);
-  }
 
   /// Attach a live progress reporter (opt-in; see obs/report_sink.hpp).
   void set_progress(obs::ProgressReporter* progress) { runner_.set_progress(progress); }

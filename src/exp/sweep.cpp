@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -13,14 +12,6 @@
 #include "runtime/mpmc_queue.hpp"
 
 namespace frieda::exp {
-
-const char* to_string(SweepBackend backend) {
-  switch (backend) {
-    case SweepBackend::kThread: return "thread";
-    case SweepBackend::kProcess: return "process";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -82,39 +73,6 @@ std::vector<std::size_t> longest_first(const std::vector<double>& costs) {
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
   return order;
-}
-
-std::optional<SweepBackend> parse_backend_env(const char* text) {
-  if (text == nullptr) return std::nullopt;
-  // Exact match only: "Thread", "process " and friends are typos, and a typo
-  // must not silently pick a backend the user did not ask for.
-  if (std::strcmp(text, "thread") == 0) return SweepBackend::kThread;
-  if (std::strcmp(text, "process") == 0) return SweepBackend::kProcess;
-  return std::nullopt;
-}
-
-SweepBackend resolve_backend(std::optional<SweepBackend> requested, bool codec_available) {
-  SweepBackend backend = SweepBackend::kThread;
-  if (requested.has_value()) {
-    backend = *requested;
-  } else if (const char* env = std::getenv("FRIEDA_SWEEP_BACKEND")) {
-    const auto parsed = parse_backend_env(env);
-    if (parsed.has_value()) {
-      backend = *parsed;
-    } else {
-      FLOG(kWarn, "sweep",
-           "ignoring FRIEDA_SWEEP_BACKEND='" << env
-                                             << "' (expected exactly 'thread' or "
-                                                "'process'); falling back to thread");
-    }
-  }
-  if (backend == SweepBackend::kProcess && !codec_available) {
-    FLOG(kWarn, "sweep",
-         "process backend requested but this result type has no wire codec "
-         "(see exp::ReportCodec); falling back to thread");
-    backend = SweepBackend::kThread;
-  }
-  return backend;
 }
 
 std::vector<std::string> run_stealing(const std::vector<std::size_t>& indices,

@@ -1,53 +1,35 @@
 // Parallel sweep engine: memoized, cost-aware batch execution of scenario
-// runs on a thread pool or a fork-based process pool.
+// runs on a thread pool.
 //
 // The paper's entire evaluation — Table I, Figures 6–7, the eight ablations —
 // is a grid of *independent, deterministic* simulation runs.  A `SweepRunner`
-// executes such a grid on a fixed pool of workers and returns results **in
-// job order**, regardless of backend, worker count, completion order, or
-// steal order, so a sweep's tables and CSVs are byte-identical to running
-// the same jobs sequentially.
+// executes such a grid on a fixed pool of worker threads and returns results
+// **in job order**, regardless of worker count, completion order, or steal
+// order, so a sweep's tables and CSVs are byte-identical to running the same
+// jobs sequentially.
 //
-// Backends (SweepOptions::backend, FRIEDA_SWEEP_BACKEND; see
-// docs/performance.md, "Multi-process sweeps and work stealing"):
-//   * kThread (default) — jobs run on pool threads in this address space.
-//   * kProcess — each job executes in a forked child and ships its report
-//     back over a pipe (exp/process_pool.hpp, frieda/report_io.hpp).  A
-//     child that SIGSEGVs, aborts, exits nonzero, or truncates its frame
-//     becomes *that job's* error outcome; every other job completes.  The
-//     deserialized report is field-identical to the in-process one (doubles
-//     cross the pipe as bit patterns), so CSVs stay byte-identical across
-//     backends.  Requires a ReportCodec for the result type (RunReport and
-//     RtReport today); otherwise the runner warns and uses threads.
-//     Parent-side hooks baked into a job's closure (tracer, metrics,
-//     arrange hooks mutating captured state) take effect in the *child's*
-//     copy of the address space: the report is the only thing shipped back.
-//
-// Work stealing: both backends dispatch through per-worker deques dealt in
-// schedule order; an idle worker steals the front half of the fattest
-// victim's backlog (`rt::MpmcQueue::try_pop_half`), so a skewed grid cannot
-// strand workers behind a few long deques.  Steal batches are counted in
-// the `sweep.steals` metric.  Stealing moves whole jobs before they start —
-// outcome slots and per-job seeds never change, only which worker runs what.
+// Work stealing (see docs/performance.md, "Thread pool and work stealing"):
+// jobs are dispatched through per-worker deques dealt in schedule order; an
+// idle worker steals the front half of the fattest victim's backlog
+// (`rt::MpmcQueue::try_pop_half`), so a skewed grid cannot strand workers
+// behind a few long deques.  Steal batches are counted in the `sweep.steals`
+// metric.  Stealing moves whole jobs before they start — outcome slots and
+// per-job seeds never change, only which worker runs what.
 //
 // Scheduling (see docs/performance.md, "Memoization and cost-aware
 // scheduling"):
-//   * Jobs carrying a config `Fingerprint` are memoized: a `ResultCache`
-//     (process-global by default) is consulted before dispatch, duplicate
-//     cells within one batch execute once, and fresh results are published
-//     back so later grids of the same process hit too.  Cached outcomes are
-//     copies of deterministic runs, hence field-identical to executing.
+//   * Jobs carrying a config `Fingerprint` are memoized within the batch:
+//     duplicate cells execute once and their twins copy the primary's
+//     outcome (`SweepOptions::memoize` turns this off).  Twins are copies of
+//     deterministic runs, hence field-identical to executing.
 //   * Jobs are dispatched longest-first by their `cost` estimate, so one
 //     expensive cell at the tail of a skewed grid no longer idles the rest
 //     of the pool.  Outcome slots stay in job order; only the dispatch
 //     order changes, and `schedule()` exposes it for tests.
 //   * A `frieda_obs::MetricsRegistry` owned by the runner tracks progress
 //     (sweep.jobs_completed / sweep.cache_hits / sweep.runs_executed /
-//     sweep.cache_evictions counters, a sweep.in_flight gauge,
-//     sweep.wall_per_job_s stats).
-//   * Jobs tagged with a `Calibration` class feed their measured wall time
-//     into a `CostCalibrator` (process-global by default), so later grids
-//     dispatch on measured seconds instead of the static unit estimate.
+//     sweep.steals counters, a sweep.in_flight gauge, sweep.wall_per_job_s
+//     stats).
 //   * An opt-in `obs::ProgressReporter` (set_progress, or the
 //     FRIEDA_SWEEP_PROGRESS environment variable) prints throttled live
 //     progress lines with a cost-weighted ETA; off by default, so driver
@@ -63,28 +45,23 @@
 //     (SplitMix64), so appending jobs to a grid never perturbs the seeds —
 //     and therefore the results — of the jobs already in it.
 //   * A throwing job is isolated: its outcome carries the error message, all
-//     other jobs still run to completion.  Failed runs are never cached.
+//     other jobs still run to completion.  A failed primary's twins carry
+//     the same error.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "exp/calibrate.hpp"
-#include "exp/process_pool.hpp"
-#include "exp/result_cache.hpp"
 #include "frieda/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report_sink.hpp"
@@ -96,32 +73,16 @@ namespace frieda::exp {
 /// job keeps its seed when other jobs are added before or after it.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t job_index);
 
-/// Execution substrate for sweep jobs (see the header comment).
-enum class SweepBackend {
-  kThread,   ///< pool threads in this address space
-  kProcess,  ///< one forked child per job, outcome shipped over a pipe
-};
-
-/// Render a backend name ("thread" / "process").
-const char* to_string(SweepBackend backend);
-
 /// Pool configuration for one sweep.
 struct SweepOptions {
   /// Worker threads; 0 = auto (the FRIEDA_SWEEP_THREADS environment
   /// variable if set and valid, else std::thread::hardware_concurrency()).
   /// The pool never spawns more threads than there are jobs to execute.
-  /// Under the process backend this is the number of concurrent children
-  /// (each managed by one parent thread).
   std::size_t threads = 0;
 
-  /// Opt-out for memoization: when false the runner never consults or fills
-  /// a result cache and every job executes, duplicates included.
+  /// Opt-out for memoization: when false in-batch duplicates are not
+  /// collapsed and every job executes.
   bool memoize = true;
-
-  /// Execution backend; nullopt = auto (the FRIEDA_SWEEP_BACKEND
-  /// environment variable when it is exactly "thread" or "process" — a typo
-  /// warns and falls back — else thread).
-  std::optional<SweepBackend> backend;
 
   /// Opt-out for steal-half dispatch (benchmarks and tests only): when
   /// false each worker runs exactly its dealt share of the schedule and
@@ -141,16 +102,6 @@ constexpr long kMaxSweepThreads = 4096;
 /// zero, negative, trailing junk, or absurdly large) — the caller falls back
 /// and logs.
 std::size_t parse_threads_env(const char* text);
-
-/// Parse a FRIEDA_SWEEP_BACKEND value.  Exact-match "thread" / "process"
-/// only; anything else (including case or whitespace variants) is nullopt —
-/// the caller warns and falls back to thread.
-std::optional<SweepBackend> parse_backend_env(const char* text);
-
-/// Resolve SweepOptions::backend against the environment and the result
-/// type's codec availability.  A process request without a codec (or an
-/// invalid FRIEDA_SWEEP_BACKEND) warns and resolves to thread.
-SweepBackend resolve_backend(std::optional<SweepBackend> requested, bool codec_available);
 
 /// Run `body(i)` for every i in `indices` on `threads` pool workers with
 /// steal-half dispatch: positions are dealt round-robin in `indices` order
@@ -175,25 +126,6 @@ std::size_t resolve_threads(std::size_t requested, std::size_t jobs);
 /// descending cost, ties keeping submission order (stable).
 std::vector<std::size_t> longest_first(const std::vector<double>& costs);
 
-/// One-time wiring of FRIEDA_RESULT_CACHE_FILE onto the process-global
-/// ResultCache<R>: attach the wire codec, load the checkpoint.  No-op for
-/// result types without a codec or when the variable is unset/empty.
-template <typename R>
-void wire_global_cache_persistence() {
-  if constexpr (ReportCodec<R>::kAvailable) {
-    static std::once_flag once;
-    std::call_once(once, [] {
-      const char* env = std::getenv("FRIEDA_RESULT_CACHE_FILE");
-      if (env == nullptr || *env == '\0') return;
-      auto& cache = ResultCache<R>::global();
-      cache.set_persistence(
-          env, [](const R& r) { return ReportCodec<R>::serialize(r); },
-          [](const std::string& text) { return ReportCodec<R>::deserialize(text); });
-      cache.load_file(env);
-    });
-  }
-}
-
 }  // namespace detail
 
 /// One unit of sweep work: a tag (for reports and error messages), a
@@ -217,17 +149,6 @@ struct Job {
   /// Relative wall-time estimate for longest-first dispatch (any unit,
   /// only the ordering matters).
   double cost = 1.0;
-
-  /// Measured-cost feedback class.  When set, the runner reports this
-  /// job's wall time to its `CostCalibrator` as (key, raw_cost, seconds),
-  /// so later grids of the same class schedule with measured rates (see
-  /// exp/calibrate.hpp).  `raw_cost` is the *uncalibrated* estimate —
-  /// `cost` may already be scaled by a previously learned rate.
-  struct Calibration {
-    std::string key;        ///< class label, e.g. "als/rt"
-    double raw_cost = 1.0;  ///< static scenario_cost estimate
-  };
-  std::optional<Calibration> calibration;
 };
 
 /// Result slot of one job: the value, or the error that replaced it.
@@ -236,7 +157,7 @@ struct JobOutcome {
   std::string tag;
   std::optional<R> value;  ///< empty when the job threw
   std::string error;       ///< non-empty when the job threw
-  bool from_cache = false; ///< served from the result cache or an in-batch twin
+  bool from_cache = false; ///< copied from an in-batch twin instead of executing
 
   bool ok() const { return value.has_value(); }
 
@@ -254,15 +175,6 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opt = {}) : opt_(opt) {}
 
-  /// Replace the consulted result cache (default: the process-global
-  /// ResultCache<R>).  nullptr disables memoization for this runner,
-  /// including in-batch duplicate elimination.
-  void set_cache(ResultCache<R>* cache) { cache_ = cache; }
-
-  /// Replace the measured-cost sink (default: the process-global
-  /// CostCalibrator).  nullptr disables calibration feedback.
-  void set_calibrator(CostCalibrator* calibrator) { calibrator_ = calibrator; }
-
   /// Attach a live progress reporter (see obs/report_sink.hpp).  Off by
   /// default: with no reporter attached — and FRIEDA_SWEEP_PROGRESS unset —
   /// the runner prints nothing, so driver output stays byte-identical.
@@ -275,31 +187,17 @@ class SweepRunner {
     for (std::size_t i = 0; i < n; ++i) out[i].tag = jobs[i].tag;
     runs_requested_ = n;
     cache_hits_ = 0;
-    child_crashes_ = 0;
     steals_ = 0;
     schedule_.clear();
-    backend_used_ = detail::resolve_backend(opt_.backend, ReportCodec<R>::kAvailable);
 
-    // Cross-process persistence: when FRIEDA_RESULT_CACHE_FILE names a
-    // checkpoint, the global cache loads it before the first lookup (once
-    // per process) and run() saves it back on completion below.
-    detail::wire_global_cache_persistence<R>();
-
-    // Phase 1 — memoization: serve cache hits, collapse in-batch duplicates
-    // onto one primary, collect the jobs that must actually execute.
-    ResultCache<R>* cache = opt_.memoize ? cache_ : nullptr;
+    // Phase 1 — memoization: collapse in-batch duplicates onto one primary,
+    // collect the jobs that must actually execute.
     std::vector<std::size_t> execute;
     std::vector<std::optional<std::size_t>> twin_of(n);  // job -> earlier identical job
     std::map<Fingerprint, std::size_t> primary;
     for (std::size_t i = 0; i < n; ++i) {
       const auto& fp = jobs[i].fingerprint;
-      if (cache != nullptr && fp.has_value()) {
-        if (auto hit = cache->lookup(*fp)) {
-          out[i].value.emplace(std::move(*hit));
-          out[i].from_cache = true;
-          ++cache_hits_;
-          continue;
-        }
+      if (opt_.memoize && fp.has_value()) {
         const auto [it, fresh] = primary.try_emplace(*fp, i);
         if (!fresh) {
           twin_of[i] = it->second;
@@ -326,8 +224,6 @@ class SweepRunner {
     auto& completed = metrics_.counter("sweep.jobs_completed");
     auto& hits_ctr = metrics_.counter("sweep.cache_hits");
     auto& executed_ctr = metrics_.counter("sweep.runs_executed");
-    auto& evicted_ctr = metrics_.counter("sweep.cache_evictions");
-    auto& crashes_ctr = metrics_.counter("sweep.child_crashes");
     auto& steals_ctr = metrics_.counter("sweep.steals");
     auto& in_flight = metrics_.gauge("sweep.in_flight");
     auto& wall_per_job = metrics_.stats("sweep.wall_per_job_s");
@@ -341,22 +237,19 @@ class SweepRunner {
       env_progress = obs::ProgressReporter::from_env();
       progress = env_progress.get();
     }
-    // batch_cost sums *scheduled* jobs only — cache hits' and twins' weight
-    // is subtracted up front, and `served` removes them from the reporter's
-    // count fallback, so a duplicate-heavy grid's ETA tracks the jobs that
-    // actually execute instead of the memoized ones completing at zero cost.
+    // batch_cost sums *scheduled* jobs only — twins' weight is subtracted up
+    // front, and `served` removes them from the reporter's count fallback,
+    // so a duplicate-heavy grid's ETA tracks the jobs that actually execute
+    // instead of the memoized ones completing at zero cost.
     double batch_cost = 0.0;
     for (const std::size_t i : schedule_) batch_cost += jobs[i].cost;
-    const std::size_t served = n - schedule_.size();  // cache hits + twins
+    const std::size_t served = n - schedule_.size();  // in-batch twins
     if (progress != nullptr) progress->begin(n, batch_cost, served);
 
-    const std::uint64_t evictions_before = cache != nullptr ? cache->evictions() : 0;
-    std::vector<double> job_wall(n, 0.0);  // per-job wall seconds; each job owns its slot
-    std::size_t done_jobs = 0;             // guarded by metrics_mutex_
-    double done_cost = 0.0;                // guarded by metrics_mutex_
+    std::size_t done_jobs = 0;  // guarded by metrics_mutex_
+    double done_cost = 0.0;     // guarded by metrics_mutex_
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::uint64_t> crash_count{0};
     const std::function<void(std::size_t)> body = [&](std::size_t i) {
       const auto j0 = std::chrono::steady_clock::now();
       {
@@ -375,7 +268,6 @@ class SweepRunner {
         std::chrono::steady_clock::time_point batch_start;
         obs::ProgressReporter* progress;
         double cost;
-        double* wall_slot;
         std::size_t served;
         std::size_t* done_jobs;
         double* done_cost;
@@ -383,7 +275,6 @@ class SweepRunner {
           const double secs =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                   .count();
-          *wall_slot = secs;
           std::size_t completed_now = 0;
           std::size_t flying = 0;
           double cost_now = 0.0;
@@ -405,57 +296,18 @@ class SweepRunner {
             progress->update(completed_now, flying, cost_now, elapsed);
           }
         }
-      } done{this,     in_flight,    completed,    wall_per_job, j0,         t0,
-             progress, jobs[i].cost, &job_wall[i], served,       &done_jobs, &done_cost};
-      if constexpr (ReportCodec<R>::kAvailable) {
-        if (backend_used_ == SweepBackend::kProcess) {
-          // Fork: the child runs fn() in its copy of the address space and
-          // ships the serialized report back.  Any way the child can die
-          // becomes this job's error outcome (counted as a crash); an 'E'
-          // frame is the job's own exception, rethrown with the same what()
-          // the thread backend would have recorded.
-          const auto& fn = jobs[i].fn;
-          const ForkOutcome fo =
-              run_in_child([&fn] { return ReportCodec<R>::serialize(fn()); });
-          if (!fo.delivered) {
-            crash_count.fetch_add(1, std::memory_order_relaxed);
-            throw FriedaError(fo.crash);
-          }
-          if (!fo.ok) throw std::runtime_error(fo.payload);
-          try {
-            out[i].value.emplace(ReportCodec<R>::deserialize(fo.payload));
-          } catch (...) {
-            // A frame that parses as neither report nor error is as good as
-            // a crash: count it, surface the decode failure as the outcome.
-            crash_count.fetch_add(1, std::memory_order_relaxed);
-            throw;
-          }
-          return;
-        }
-      }
+      } done{this,     in_flight,    completed, wall_per_job, j0,        t0,
+             progress, jobs[i].cost, served,    &done_jobs,   &done_cost};
       out[i].value.emplace(jobs[i].fn());
     };
     auto errors =
         detail::run_stealing(schedule_, threads_used_, body, opt_.steal, &steals_);
-    child_crashes_ = crash_count.load();
     wall_seconds_ = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     for (std::size_t p = 0; p < schedule_.size(); ++p) {
       out[schedule_[p]].error = std::move(errors[p]);
     }
 
-    // Phase 3 — publish: successful fingerprinted runs enter the cache
-    // (errors never do), and in-batch twins copy their primary's outcome.
-    if (cache != nullptr) {
-      for (const std::size_t i : execute) {
-        if (jobs[i].fingerprint.has_value() && out[i].value.has_value()) {
-          cache->insert(*jobs[i].fingerprint, *out[i].value);
-        }
-      }
-      // Sweep completion checkpoint: a cache with FRIEDA_RESULT_CACHE_FILE
-      // persistence attached writes itself back atomically, so the next
-      // process (or a re-run after an interrupt) starts from these cells.
-      cache->save_if_persistent();
-    }
+    // Phase 3 — in-batch twins copy their primary's outcome, error included.
     for (std::size_t i = 0; i < n; ++i) {
       if (!twin_of[i].has_value()) continue;
       const auto& prime = out[*twin_of[i]];
@@ -465,36 +317,18 @@ class SweepRunner {
     }
     runs_executed_ = execute.size();
 
-    // Feed measured wall times back into the calibrator — successful,
-    // tagged runs only (a failed run's duration carries no signal; cache
-    // hits never executed).
-    if (calibrator_ != nullptr) {
-      for (const std::size_t i : execute) {
-        if (jobs[i].calibration.has_value() && out[i].value.has_value()) {
-          calibrator_->observe(jobs[i].calibration->key, jobs[i].calibration->raw_cost,
-                               job_wall[i]);
-        }
-      }
-      // Sweep completion checkpoint: when the calibrator has a persistence
-      // path attached (FRIEDA_CALIBRATION_FILE), the rates just learned are
-      // written back so the next process starts warm.
-      calibrator_->save_if_persistent();
-    }
-
     {
       std::lock_guard<std::mutex> lock(metrics_mutex_);
       hits_ctr.inc(cache_hits_);
       executed_ctr.inc(runs_executed_);
-      crashes_ctr.inc(child_crashes_);
       steals_ctr.inc(steals_);
-      if (cache != nullptr) evicted_ctr.inc(cache->evictions() - evictions_before);
     }
     if (progress != nullptr) progress->finish(n, n, wall_seconds_);
     return out;
   }
 
-  /// Threads the last run() actually used (0 before the first run, and 0
-  /// when every job was served from the cache).
+  /// Threads the last run() actually used (0 before the first run and for
+  /// an empty batch).
   std::size_t threads_used() const { return threads_used_; }
 
   /// Wall-clock duration of the last run() in seconds.
@@ -507,18 +341,9 @@ class SweepRunner {
   /// fully fingerprinted batches; unhashable jobs always execute).
   std::size_t runs_executed() const { return runs_executed_; }
 
-  /// Jobs of the last run() served without executing: result-cache hits
-  /// plus in-batch duplicates collapsed onto an executing twin.
+  /// Jobs of the last run() served without executing: in-batch duplicates
+  /// collapsed onto an executing twin.
   std::size_t cache_hits() const { return cache_hits_; }
-
-  /// Backend the last run() resolved to (after the environment override and
-  /// the codec-availability fallback).  kThread before the first run.
-  SweepBackend backend_used() const { return backend_used_; }
-
-  /// Forked children of the last run() that died without delivering a
-  /// result (fatal signal, nonzero exit, truncated or undecodable frame).
-  /// Always 0 under the thread backend.
-  std::uint64_t child_crashes() const { return child_crashes_; }
 
   /// Steal batches of the last run(): times an idle worker took the front
   /// half of another worker's backlog.  0 with opt.steal == false, with a
@@ -538,16 +363,12 @@ class SweepRunner {
 
  private:
   SweepOptions opt_;
-  ResultCache<R>* cache_ = &ResultCache<R>::global();
-  CostCalibrator* calibrator_ = &CostCalibrator::global();
   obs::ProgressReporter* progress_ = nullptr;
   std::size_t threads_used_ = 0;
   double wall_seconds_ = 0.0;
   std::size_t runs_requested_ = 0;
   std::size_t runs_executed_ = 0;
   std::size_t cache_hits_ = 0;
-  SweepBackend backend_used_ = SweepBackend::kThread;
-  std::uint64_t child_crashes_ = 0;
   std::uint64_t steals_ = 0;
   std::vector<std::size_t> schedule_;
   obs::MetricsRegistry metrics_;

@@ -1,19 +1,62 @@
 #include "frieda/adaptive.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
-#include "frieda/report_io.hpp"
+
+namespace frieda::core {
+
+namespace {
 
 // History lines are '|'-delimited; app names may contain the delimiter (or a
 // backslash, or a newline), so the app field is escaped on write and decoded
-// on read via the shared report wire helpers (escape_field / split_escaped
-// in frieda/report_io.hpp).  The remaining fields are machine-generated and
-// never need escaping.
+// on read.  The remaining fields are machine-generated and never need
+// escaping.
 
-namespace frieda::core {
+/// Escape '|', '\' and newlines so a free-form string can live in one
+/// '|'-delimited field.
+std::string escape_field(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '|': out += "\\|"; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+/// Split on unescaped '|' and decode escapes.  nullopt when the line ends
+/// mid-escape (truncated) or uses an unknown escape sequence.
+std::optional<std::vector<std::string>> split_escaped(const std::string& line) {
+  std::vector<std::string> parts(1);
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == '\\') {
+      if (i + 1 >= line.size()) return std::nullopt;
+      const char next = line[++i];
+      switch (next) {
+        case '\\': parts.back() += '\\'; break;
+        case '|': parts.back() += '|'; break;
+        case 'n': parts.back() += '\n'; break;
+        default: return std::nullopt;
+      }
+    } else if (c == '|') {
+      parts.emplace_back();
+    } else {
+      parts.back() += c;
+    }
+  }
+  return parts;
+}
+
+}  // namespace
 
 void ExecutionHistory::record(const RunReport& report) {
   const auto strategy = parse_placement_strategy(report.strategy);

@@ -47,19 +47,4 @@ std::vector<std::vector<WorkUnitId>> assign_units(AssignmentPolicy policy,
   return out;
 }
 
-bool valid_assignment(const std::vector<std::vector<WorkUnitId>>& table,
-                      std::size_t unit_count, std::size_t worker_count) {
-  if (table.size() != worker_count) return false;
-  std::vector<char> seen(unit_count, 0);
-  std::size_t total = 0;
-  for (const auto& worker_units : table) {
-    for (const auto u : worker_units) {
-      if (u >= unit_count || seen[u]) return false;
-      seen[u] = 1;
-      ++total;
-    }
-  }
-  return total == unit_count;
-}
-
 }  // namespace frieda::core

@@ -26,11 +26,4 @@ std::vector<std::vector<WorkUnitId>> assign_units(AssignmentPolicy policy,
                                                   const storage::FileCatalog& catalog,
                                                   std::size_t worker_count);
 
-/// True when `table` is a well-formed assignment of `unit_count` dense unit
-/// ids over `worker_count` workers: one list per worker, every unit id in
-/// [0, unit_count) appearing exactly once.  Execution templates validate
-/// captured tables with this before serving them to runs.
-bool valid_assignment(const std::vector<std::vector<WorkUnitId>>& table,
-                      std::size_t unit_count, std::size_t worker_count);
-
 }  // namespace frieda::core

@@ -87,13 +87,4 @@ std::string CommandTemplate::bind_unit(const WorkUnit& unit,
   });
 }
 
-std::vector<std::string> CommandTemplate::bind_all(const std::vector<WorkUnit>& units,
-                                                   const storage::FileCatalog& catalog,
-                                                   const std::string& staging_dir) const {
-  std::vector<std::string> out;
-  out.reserve(units.size());
-  for (const auto& u : units) out.push_back(bind_unit(u, catalog, staging_dir));
-  return out;
-}
-
 }  // namespace frieda::core

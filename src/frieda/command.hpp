@@ -43,12 +43,6 @@ class CommandTemplate {
   std::string bind_unit(const WorkUnit& unit, const storage::FileCatalog& catalog,
                         const std::string& staging_dir = "/data") const;
 
-  /// Batch form of bind_unit over a whole partition list (execution-template
-  /// capture): out[i] is bind_unit(units[i], ...).
-  std::vector<std::string> bind_all(const std::vector<WorkUnit>& units,
-                                    const storage::FileCatalog& catalog,
-                                    const std::string& staging_dir = "/data") const;
-
   /// True when a unit's group size matches the template's arity.
   bool accepts(const WorkUnit& unit) const { return unit.inputs.size() == arity_; }
 

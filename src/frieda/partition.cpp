@@ -71,14 +71,4 @@ std::vector<std::string> PartitionGenerator::scheme_names() const {
   return names;
 }
 
-Fingerprint partition_signature(const std::vector<WorkUnit>& units) {
-  StableHasher h;
-  h.mix_str("frieda-partition-v1").mix_u64(units.size());
-  for (const auto& u : units) {
-    h.mix_u64(u.id).mix_u64(u.inputs.size());
-    for (const auto f : u.inputs) h.mix_u64(f);
-  }
-  return h.digest();
-}
-
 }  // namespace frieda::core

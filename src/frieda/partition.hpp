@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "frieda/types.hpp"
 #include "storage/file.hpp"
 
@@ -53,11 +52,5 @@ class PartitionGenerator {
  private:
   std::map<std::string, CustomScheme> custom_;
 };
-
-/// Stable structural identity of a partition list: ids, group shapes, and
-/// member file ids, order-sensitive.  Two partition lists are equal iff
-/// their signatures match (up to hash collision), which gives execution
-/// templates and their audits a cheap equality proxy for the unit vector.
-Fingerprint partition_signature(const std::vector<WorkUnit>& units);
 
 }  // namespace frieda::core

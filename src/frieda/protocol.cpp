@@ -1,7 +1,5 @@
 #include "frieda/protocol.hpp"
 
-#include "frieda/command.hpp"
-
 namespace frieda::core {
 
 namespace {
@@ -28,22 +26,5 @@ struct MasterNamer {
 const char* message_name(const ControlMessage& m) { return std::visit(ControlNamer{}, m); }
 const char* message_name(const WorkerMessage& m) { return std::visit(WorkerNamer{}, m); }
 const char* message_name(const MasterMessage& m) { return std::visit(MasterNamer{}, m); }
-
-std::vector<AssignWork> bind_units(const CommandTemplate& command,
-                                   const std::vector<WorkUnit>& units,
-                                   const storage::FileCatalog& catalog,
-                                   const std::string& staging_dir, bool inputs_staged) {
-  auto commands = command.bind_all(units, catalog, staging_dir);
-  std::vector<AssignWork> out;
-  out.reserve(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    AssignWork work;
-    work.unit = units[i];
-    work.command = std::move(commands[i]);
-    work.inputs_staged = inputs_staged;
-    out.push_back(std::move(work));
-  }
-  return out;
-}
 
 }  // namespace frieda::core

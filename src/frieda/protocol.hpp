@@ -92,30 +92,12 @@ struct AssignWork {
   WorkUnit unit;
   std::string command;
   bool inputs_staged = true;  ///< false for remote-read: worker pulls bytes
-
-  /// Structural equality (template audits compare prototype assignments
-  /// against freshly bound ones).
-  friend bool operator==(const AssignWork& a, const AssignWork& b) {
-    return a.unit == b.unit && a.command == b.command && a.inputs_staged == b.inputs_staged;
-  }
-  friend bool operator!=(const AssignWork& a, const AssignWork& b) { return !(a == b); }
 };
 
 /// No further work; the worker should exit its loop.
 struct NoMoreWork {};
 
 using MasterMessage = std::variant<AssignWork, NoMoreWork>;
-
-class CommandTemplate;
-
-/// Build one AssignWork prototype per unit — exactly the message the master
-/// would construct at dispatch time (unit, bound command line, staging
-/// flag).  Execution templates capture these once and serve copies on every
-/// subsequent instantiation instead of re-binding per dispatch.
-std::vector<AssignWork> bind_units(const CommandTemplate& command,
-                                   const std::vector<WorkUnit>& units,
-                                   const storage::FileCatalog& catalog,
-                                   const std::string& staging_dir, bool inputs_staged);
 
 /// Human-readable message names for traces.
 const char* message_name(const ControlMessage& m);

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "frieda/assignment.hpp"
-#include "frieda/partition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -111,20 +110,6 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
     run_metrics_.evictions = &m.counter("run.evictions");
     run_metrics_.isolations = &m.counter("run.isolations");
     run_metrics_.master_crashes = &m.counter("run.master_crashes");
-    run_metrics_.template_patches = &m.counter("frieda.template_patches");
-  }
-
-  tmpl_ = options_.exec_template.get();
-  if (tmpl_ != nullptr) {
-    template_audit_ = TemplateStore::global().differential_check();
-    FRIEDA_CHECK(tmpl_->units().size() == units_.size(),
-                 "execution template covers " << tmpl_->units().size()
-                                              << " units but the run has " << units_.size());
-    if (template_audit_) {
-      FRIEDA_CHECK(partition_signature(tmpl_->units()) == partition_signature(units_),
-                   "template audit: the run's partition list diverged from the "
-                   "captured template");
-    }
   }
 }
 
@@ -135,57 +120,6 @@ FriedaRun::~FriedaRun() {
 
 unsigned FriedaRun::workers_per_vm(cluster::VmId vm) const {
   return options_.multicore ? cluster_.vm(vm).type().cores : 1u;
-}
-
-// ---------------------------------------------------------------------------
-// Execution-template instantiation (see template.hpp)
-// ---------------------------------------------------------------------------
-
-void FriedaRun::note_template_patch() {
-  ++cp_patches_;
-  if (run_metrics_.template_patches) run_metrics_.template_patches->inc();
-}
-
-std::vector<std::vector<WorkUnitId>> FriedaRun::plan_assignment(std::size_t workers) {
-  ++cp_instantiations_;
-  if (tmpl_ != nullptr && tmpl_->assignment_policy() == options_.assignment &&
-      tmpl_->assignment_workers() == workers) {
-    if (template_audit_) {
-      const auto fresh = assign_units(options_.assignment, units_, catalog_, workers);
-      FRIEDA_CHECK(fresh == tmpl_->assignment(),
-                   "template audit: captured assignment table diverged from a "
-                   "fresh computation for "
-                       << workers << " workers");
-    }
-    ++cp_templated_;
-    return tmpl_->assignment();
-  }
-  if (tmpl_ != nullptr) note_template_patch();  // worker-count / policy delta
-  return assign_units(options_.assignment, units_, catalog_, workers);
-}
-
-AssignWork FriedaRun::make_assignment(WorkUnitId unit) {
-  ++cp_instantiations_;
-  const bool staged = !streams_inputs();
-  if (tmpl_ != nullptr && tmpl_->inputs_staged() == staged &&
-      tmpl_->staging_dir() == options_.staging_dir) {
-    AssignWork work = tmpl_->prototypes()[unit];
-    if (template_audit_) {
-      FRIEDA_CHECK(work.unit == units_[unit] &&
-                       work.command ==
-                           command_.bind_unit(units_[unit], catalog_, options_.staging_dir),
-                   "template audit: prototype assignment for unit "
-                       << unit << " diverged from a fresh binding");
-    }
-    ++cp_templated_;
-    return work;
-  }
-  if (tmpl_ != nullptr) note_template_patch();  // staging decision delta
-  AssignWork work;
-  work.unit = units_[unit];
-  work.command = command_.bind_unit(units_[unit], catalog_, options_.staging_dir);
-  work.inputs_staged = staged;
-  return work;
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +198,8 @@ void FriedaRun::pre_place_partitions(const std::vector<cluster::VmId>& vms) {
   for (const auto vm : vms) {
     for (unsigned s = 0; s < workers_per_vm(vm); ++s) worker_vm.push_back(vm);
   }
-  const auto assignment = plan_assignment(worker_vm.size());
+  const auto assignment =
+      assign_units(options_.assignment, units_, catalog_, worker_vm.size());
   for (std::size_t w = 0; w < assignment.size(); ++w) {
     const auto vm = worker_vm[w];
     const auto node = cluster_.vm(vm).node();
@@ -767,7 +702,10 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   }
 
   if (epoch != master_epoch_) co_return;
-  AssignWork work = make_assignment(unit);
+  AssignWork work;
+  work.unit = units_[unit];
+  work.command = command_.bind_unit(units_[unit], catalog_, options_.staging_dir);
+  work.inputs_staged = !streams_inputs();
   handed_[unit] = 1;  // from here on the assignment survives a master crash
   MasterMessage assignment = std::move(work);
   const bool sent = co_await ws.inbox->send(std::move(assignment));
@@ -1243,7 +1181,8 @@ sim::Task<> FriedaRun::staging() {
   if (pre_mode) {
     // The master determines the per-worker groups at the beginning
     // (paper Section II.F).
-    const auto assignment = plan_assignment(workers_.size());
+    const auto assignment =
+        assign_units(options_.assignment, units_, catalog_, workers_.size());
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       workers_[w]->preassigned.assign(assignment[w].begin(), assignment[w].end());
     }
@@ -1512,11 +1451,6 @@ RunReport FriedaRun::run() {
     ev.args.push_back(
         {"net_dirty_classes",
          std::to_string(netw.solver_dirty_classes() - dirty_classes_baseline_)});
-    // Control-plane instantiation counters, so frieda-trace can report the
-    // execution-template hit rate (see template.hpp).
-    ev.args.push_back({"cp_instantiations", std::to_string(cp_instantiations_)});
-    ev.args.push_back({"cp_templated", std::to_string(cp_templated_)});
-    ev.args.push_back({"cp_patches", std::to_string(cp_patches_)});
     if (report.open_loop && report.latency.count() > 0) {
       // Service-mode latency summary, so frieda-trace can print the
       // percentile line without re-deriving sojourns from unit spans.

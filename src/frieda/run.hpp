@@ -36,7 +36,6 @@
 #include "frieda/command.hpp"
 #include "frieda/protocol.hpp"
 #include "frieda/report.hpp"
-#include "frieda/template.hpp"
 #include "frieda/types.hpp"
 #include "sim/channel.hpp"
 #include "storage/file.hpp"
@@ -125,16 +124,6 @@ struct RunOptions {
                                       ///< shared-volume).
   ElasticPolicy elastic_policy;       ///< queue-depth-reactive scale-out/in
                                       ///< (open-loop mode only)
-  std::shared_ptr<const ExecutionTemplate> exec_template;
-                                      ///< captured control-plane decisions to
-                                      ///< instantiate from (see template.hpp);
-                                      ///< the units passed to the constructor
-                                      ///< must be the template's, and decisions
-                                      ///< whose captured inputs no longer match
-                                      ///< (assignment worker count, staging
-                                      ///< dir) are recomputed — counted as
-                                      ///< patches.  nullptr = build everything
-                                      ///< from scratch (the default).
 };
 
 /// One configured execution; see file comment for the protocol walk-through.
@@ -270,17 +259,6 @@ class FriedaRun {
   void fork_workers_on(cluster::VmId vm, std::vector<WorkerId>& out);
   unsigned workers_per_vm(cluster::VmId vm) const;
 
-  // ---- execution-template instantiation (template.hpp) ----
-  /// The assignment table for `workers` slots: served from the template
-  /// when its captured (policy, worker count) match — recomputed otherwise
-  /// (a patch).  Under audit mode the templated table is differentially
-  /// checked against a fresh computation.
-  std::vector<std::vector<WorkUnitId>> plan_assignment(std::size_t workers);
-  /// The AssignWork message for `unit`: a copy of the template's prototype
-  /// when the staging decision still matches — freshly bound otherwise.
-  AssignWork make_assignment(WorkUnitId unit);
-  void note_template_patch();
-
   // ---- observability taps (all no-ops when tracing/metrics are off) ----
   /// Remember when `unit` (re)entered a queue, for its pending span.
   void mark_pending(WorkUnitId unit);
@@ -376,21 +354,8 @@ class FriedaRun {
     obs::Counter* evictions = nullptr;
     obs::Counter* isolations = nullptr;
     obs::Counter* master_crashes = nullptr;
-    obs::Counter* template_patches = nullptr;
   } run_metrics_;
 
-  // Execution-template state: tmpl_ mirrors options_.exec_template (kept
-  // alive by it), audit_ snapshots the store's differential-check mode at
-  // construction, and the cp_* counters feed the run anchor span
-  // ("cp_instantiations" = control-plane decisions made, "cp_templated" =
-  // served from the template, "cp_patches" = recomputed because a captured
-  // input diverged).  Deliberately not part of RunReport: templated and
-  // from-scratch runs must stay field-identical.
-  const ExecutionTemplate* tmpl_ = nullptr;
-  bool template_audit_ = false;
-  std::uint64_t cp_instantiations_ = 0;
-  std::uint64_t cp_templated_ = 0;
-  std::uint64_t cp_patches_ = 0;
   std::vector<SimTime> trace_born_;     ///< first enqueue time per unit
   std::vector<SimTime> trace_pending_;  ///< latest (re)enqueue time per unit
 };

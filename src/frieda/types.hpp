@@ -56,13 +56,6 @@ struct WorkUnit {
 
   /// Total input bytes for this unit.
   Bytes input_bytes(const storage::FileCatalog& catalog) const;
-
-  /// Structural equality (template audits compare captured partition lists
-  /// against fresh rebuilds).
-  friend bool operator==(const WorkUnit& a, const WorkUnit& b) {
-    return a.id == b.id && a.inputs == b.inputs;
-  }
-  friend bool operator!=(const WorkUnit& a, const WorkUnit& b) { return !(a == b); }
 };
 
 /// Enum <-> string conversions (used by Config-driven scenarios).

@@ -283,16 +283,6 @@ TraceAnalysis TraceAnalyzer::analyze(const std::vector<TraceEvent>& events) {
             out.net_dirty_classes = std::strtoull(d->value.c_str(), nullptr, 10);
           }
         }
-        if (const auto* ci = find_arg(ev, "cp_instantiations")) {
-          out.control_plane_stats = true;
-          out.cp_instantiations = std::strtoull(ci->value.c_str(), nullptr, 10);
-          if (const auto* ct = find_arg(ev, "cp_templated")) {
-            out.cp_templated = std::strtoull(ct->value.c_str(), nullptr, 10);
-          }
-          if (const auto* cp = find_arg(ev, "cp_patches")) {
-            out.cp_patches = std::strtoull(cp->value.c_str(), nullptr, 10);
-          }
-        }
         if (const auto* p50 = find_arg(ev, "latency_p50")) {
           out.latency_stats = true;
           out.latency_p50 = std::strtod(p50->value.c_str(), nullptr);
@@ -422,11 +412,6 @@ std::string render_report(const TraceAnalysis& a, std::size_t max_path_rows) {
        << fmt("%.1f", 100.0 * a.incremental_share()) << "% incremental, "
        << a.net_full_solves << " full, avg dirty set "
        << fmt("%.1f", a.avg_dirty_classes()) << " classes)\n";
-  }
-  if (a.control_plane_stats && a.cp_instantiations > 0) {
-    os << "Control plane: " << a.cp_instantiations << " instantiations ("
-       << fmt("%.1f", 100.0 * a.templated_share()) << "% templated, " << a.cp_patches
-       << " patched)\n";
   }
   if (a.latency_stats) {
     os << "Open-loop latency: p50 " << fmt("%.3f", a.latency_p50) << " s, p95 "

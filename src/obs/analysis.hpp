@@ -139,20 +139,6 @@ struct TraceAnalysis {
     return net_solves > 0 ? static_cast<double>(net_dirty_classes) / net_solves : 0.0;
   }
 
-  // Control-plane instantiation activity, from the anchor span's
-  // cp_instantiations / cp_templated / cp_patches args (emitted by
-  // FriedaRun since execution templates landed).  `control_plane_stats` is
-  // false for traces recorded before those args existed.
-  bool control_plane_stats = false;
-  std::uint64_t cp_instantiations = 0;  ///< control-plane decisions made
-  std::uint64_t cp_templated = 0;       ///< served from an execution template
-  std::uint64_t cp_patches = 0;         ///< recomputed (captured input diverged)
-  double templated_share() const {
-    return cp_instantiations > 0
-               ? static_cast<double>(cp_templated) / cp_instantiations
-               : 0.0;
-  }
-
   // Open-loop service latency over the run window, from the anchor span's
   // latency_p50/p95/p99 + sustained_tput args (emitted by FriedaRun's
   // service mode).  `latency_stats` is false for closed-batch traces.

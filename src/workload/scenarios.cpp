@@ -4,8 +4,6 @@
 
 #include "common/error.hpp"
 #include "frieda/partition.hpp"
-#include "frieda/template.hpp"
-#include "obs/metrics.hpp"
 #include "workload/calibration.hpp"
 
 namespace frieda::workload {
@@ -59,35 +57,8 @@ core::RunReport execute(Built& b, const core::AppModel& app,
                         const storage::FileCatalog& catalog, core::PartitionScheme scheme,
                         const core::CommandTemplate& command,
                         core::PlacementStrategy strategy, const PaperScenarioOptions& opt,
-                        bool multicore, const char* app_kind) {
-  auto& store = core::TemplateStore::global();
-  const bool use_templates =
-      store.enabled() && opt.use_execution_templates && templatable(opt);
-  const bool audit = use_templates && store.differential_check();
-
-  std::shared_ptr<const core::ExecutionTemplate> tmpl;
-  std::optional<Fingerprint> key;
-  if (use_templates) {
-    key = template_fingerprint(app_kind, strategy, opt);
-    tmpl = store.lookup(*key);
-  }
-
-  // Program-instance slots this run will fork — the assignment table shape.
-  std::size_t slots = 0;
-  for (const auto vm : b.vms) slots += multicore ? b.cluster->vm(vm).type().cores : 1u;
-
-  std::vector<core::WorkUnit> units;
-  if (tmpl != nullptr) {
-    units = tmpl->units();  // instantiate: partition list is structural
-    if (audit) {
-      FRIEDA_CHECK(core::PartitionGenerator::generate(scheme, catalog) == units,
-                   "template audit: cached partition list diverged from a fresh "
-                   "generation");
-    }
-    if (opt.metrics) opt.metrics->counter("frieda.template_hits").inc();
-  } else {
-    units = core::PartitionGenerator::generate(scheme, catalog);
-  }
+                        bool multicore) {
+  auto units = core::PartitionGenerator::generate(scheme, catalog);
 
   core::RunOptions ropt;
   ropt.strategy = strategy;
@@ -99,39 +70,9 @@ core::RunReport execute(Built& b, const core::AppModel& app,
   ropt.metrics = opt.metrics;
   ropt.telemetry = opt.telemetry;
   if (opt.service.open_loop) {
-    const auto akey = arrival_schedule_key(opt.service.arrivals, units.size());
-    if (tmpl != nullptr && tmpl->arrival_key() == akey) {
-      ropt.arrivals = tmpl->arrivals();  // same process, same schedule
-      if (audit) {
-        FRIEDA_CHECK(generate_arrivals(opt.service.arrivals, units.size()) == ropt.arrivals,
-                     "template audit: cached arrival schedule diverged from a "
-                     "fresh generation");
-      }
-    } else {
-      ropt.arrivals = generate_arrivals(opt.service.arrivals, units.size());
-      if (tmpl != nullptr) store.note_patch();  // arrival-config delta
-    }
+    ropt.arrivals = generate_arrivals(opt.service.arrivals, units.size());
     ropt.elastic_policy = opt.service.elastic;
   }
-
-  if (tmpl == nullptr && key.has_value()) {
-    // First run of this scenario shape: capture + publish the template.
-    const bool inputs_staged = strategy != core::PlacementStrategy::kRemoteRead &&
-                               strategy != core::PlacementStrategy::kSharedVolume;
-    const std::uint64_t akey =
-        opt.service.open_loop ? arrival_schedule_key(opt.service.arrivals, units.size())
-                              : 0;
-    tmpl = core::ExecutionTemplate::capture(units, command, catalog, ropt.staging_dir,
-                                            inputs_staged, ropt.assignment, slots, akey,
-                                            ropt.arrivals);
-    store.note_build();
-    store.insert(*key, tmpl);
-    if (opt.metrics) opt.metrics->counter("frieda.template_builds").inc();
-  } else if (tmpl != nullptr && (tmpl->assignment_workers() != slots ||
-                                 tmpl->assignment_policy() != ropt.assignment)) {
-    store.note_patch();  // worker-shape delta: the run recomputes the table
-  }
-  ropt.exec_template = tmpl;
 
   core::FriedaRun run(*b.cluster, catalog, std::move(units), app, command, ropt);
   if (strategy == core::PlacementStrategy::kPrePartitionLocal) {
@@ -148,43 +89,10 @@ bool fingerprintable(const PaperScenarioOptions& opt) {
          opt.telemetry == nullptr;
 }
 
-bool templatable(const PaperScenarioOptions& opt) { return !opt.arrange; }
-
-Fingerprint template_fingerprint(const char* app, core::PlacementStrategy strategy,
-                                 const PaperScenarioOptions& opt) {
-  StableHasher h;
-  // Versioned salt + structural fields only.  The catalog (and therefore the
-  // partition list, command bindings, and size-balanced assignments) is a
-  // pure function of (app, scale); the strategy picks the staging decision
-  // baked into the prototypes; the NIC stands in for the topology class.
-  // Everything else is patchable at instantiation time — see the table in
-  // frieda/template.hpp.
-  h.mix_str("frieda-template-v1")
-      .mix_str(app)
-      .mix_str(core::to_string(strategy))
-      .mix_f64(opt.scale)
-      .mix_f64(opt.nic);
-  return h.digest();
-}
-
-std::uint64_t arrival_schedule_key(const ArrivalConfig& config, std::size_t count) {
-  StableHasher h;
-  h.mix_str("frieda-arrivals-v1")
-      .mix_u64(static_cast<std::uint64_t>(config.kind))
-      .mix_f64(config.rate)
-      .mix_f64(config.burst_factor)
-      .mix_f64(config.burst_fraction)
-      .mix_f64(config.period_s)
-      .mix_u64(config.seed)
-      .mix_u64(count);
-  const auto d = h.digest();
-  return (d.hi ^ d.lo) | 1;  // nonzero: 0 is reserved for "closed batch"
-}
-
 void hash_options(StableHasher& h, const PaperScenarioOptions& opt) {
   FRIEDA_CHECK(fingerprintable(opt),
                "options with arrange/tracer/metrics/telemetry hooks cannot be fingerprinted");
-  // Fixed field order — this is the persistent cache-key encoding.  When a
+  // Fixed field order — this is the memoization-key encoding.  When a
   // field is added to PaperScenarioOptions, append its mix here (changing
   // every fingerprint is fine; *omitting* a behavior-affecting field is not).
   h.mix_u64(opt.worker_vms)
@@ -195,9 +103,6 @@ void hash_options(StableHasher& h, const PaperScenarioOptions& opt) {
       .mix_u64(opt.seed)
       .mix_i64(opt.prefetch)
       .mix_bool(opt.requeue_on_failure);
-  // use_execution_templates is intentionally absent: a templated run is
-  // value-identical to a from-scratch run (audited under
-  // FRIEDA_TEMPLATE_AUDIT), so the knob cannot affect any result.
   if (opt.service.open_loop) {
     // Appended for the service mode; closed-batch fingerprints are unchanged.
     const auto& ac = opt.service.arrivals;
@@ -246,7 +151,7 @@ core::RunReport run_als(core::PlacementStrategy strategy, const ImageCompareMode
                          strategy == core::PlacementStrategy::kSharedVolume);
   return execute(b, app, app.catalog(), core::PartitionScheme::kPairwiseAdjacent,
                  core::CommandTemplate("compare_images $inp1 $inp2"), strategy, opt,
-                 opt.multicore, "als");
+                 opt.multicore);
 }
 
 core::RunReport run_als(core::PlacementStrategy strategy, const PaperScenarioOptions& opt) {
@@ -259,7 +164,7 @@ core::RunReport run_blast(core::PlacementStrategy strategy, const BlastModel& ap
                          strategy == core::PlacementStrategy::kSharedVolume);
   return execute(b, app, app.catalog(), core::PartitionScheme::kSingleFile,
                  core::CommandTemplate("blastall -p blastp -d /data/db $inp1"), strategy, opt,
-                 opt.multicore, "blast");
+                 opt.multicore);
 }
 
 core::RunReport run_blast(core::PlacementStrategy strategy, const PaperScenarioOptions& opt) {
@@ -272,8 +177,7 @@ core::RunReport run_als_sequential(const ImageCompareModel& app,
   // Sequential baseline: one VM, one program instance, data already local.
   return execute(b, app, app.catalog(), core::PartitionScheme::kPairwiseAdjacent,
                  core::CommandTemplate("compare_images $inp1 $inp2"),
-                 core::PlacementStrategy::kPrePartitionLocal, opt, /*multicore=*/false,
-                 "als");
+                 core::PlacementStrategy::kPrePartitionLocal, opt, /*multicore=*/false);
 }
 
 core::RunReport run_als_sequential(const PaperScenarioOptions& opt) {
@@ -284,8 +188,7 @@ core::RunReport run_blast_sequential(const BlastModel& app, const PaperScenarioO
   auto b = build_cluster(opt, 1, 1);
   return execute(b, app, app.catalog(), core::PartitionScheme::kSingleFile,
                  core::CommandTemplate("blastall -p blastp -d /data/db $inp1"),
-                 core::PlacementStrategy::kPrePartitionLocal, opt, /*multicore=*/false,
-                 "blast");
+                 core::PlacementStrategy::kPrePartitionLocal, opt, /*multicore=*/false);
 }
 
 core::RunReport run_blast_sequential(const PaperScenarioOptions& opt) {

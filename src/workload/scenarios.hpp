@@ -44,14 +44,6 @@ struct PaperScenarioOptions {
   obs::TelemetryProbe* telemetry = nullptr;  ///< opt-in live telemetry probe
                                    ///< (forwarded to RunOptions::telemetry)
   ServiceOptions service;          ///< open-loop arrivals + elasticity policy
-  bool use_execution_templates = true;  ///< consult the process-global
-                                   ///< core::TemplateStore for cached
-                                   ///< control-plane decisions (see
-                                   ///< frieda/template.hpp).  Instantiating
-                                   ///< from a template is value-identical to
-                                   ///< a from-scratch build (audited under
-                                   ///< FRIEDA_TEMPLATE_AUDIT), so this knob
-                                   ///< is not part of the fingerprint.
 
   /// Hook called after the run is constructed and before it executes —
   /// benches use it to schedule failures or elasticity.
@@ -66,34 +58,10 @@ struct PaperScenarioOptions {
 bool fingerprintable(const PaperScenarioOptions& opt);
 
 /// Mix every behavior-affecting field of `opt` into `h`, in a fixed order
-/// (part of the cache-key encoding: extend only by appending new fields).
+/// (part of the memoization-key encoding: extend only by appending new
+/// fields).
 /// Precondition: fingerprintable(opt).
 void hash_options(StableHasher& h, const PaperScenarioOptions& opt);
-
-/// True when a run of these options may use execution templates: only an
-/// `arrange` hook disqualifies (it can mutate the cluster/run in ways the
-/// captured decisions don't cover).  Weaker than fingerprintable():
-/// tracer/metrics attachments are fine here because a templated run still
-/// executes (and traces) everything — only the control-plane *setup* is
-/// served from the cache, value-identically.
-bool templatable(const PaperScenarioOptions& opt);
-
-/// Execution-template key for a paper scenario (see frieda/template.hpp):
-/// a stable hash of the *structural* fields only — app kind, placement
-/// strategy, dataset scale, NIC class.  The patchable fields
-/// (seed, VM count/cores, prefetch, requeue, arrival config) are
-/// deliberately excluded, so reruns that differ only in them share one
-/// template; a strategy or topology change yields a new key (full rebuild).
-/// Contrast exp::scenario_fingerprint, which hashes *every* field and keys
-/// whole-run result memoization.
-Fingerprint template_fingerprint(const char* app, core::PlacementStrategy strategy,
-                                 const PaperScenarioOptions& opt);
-
-/// Identity of one generated arrival schedule: (config, count), nonzero.
-/// Templates store this alongside the captured offsets; an instantiation
-/// whose key matches reuses the schedule, anything else regenerates (a
-/// patch).  0 is reserved for "closed batch, no schedule".
-std::uint64_t arrival_schedule_key(const ArrivalConfig& config, std::size_t count);
 
 /// Estimated work-unit count of the scenario these options describe for
 /// `app` ("als" or "blast") — the base dataset size scaled by `opt.scale`,

@@ -310,29 +310,6 @@ TEST(Analysis, SolverStatsParseFromTheAnchorSpan) {
   EXPECT_EQ(render_report(legacy).find("Network solver"), std::string::npos);
 }
 
-TEST(Analysis, ControlPlaneStatsParseFromTheAnchorSpan) {
-  auto events = two_worker_trace();
-  events[0].args = {{"cp_instantiations", "200"},
-                    {"cp_templated", "150"},
-                    {"cp_patches", "2"}};
-  const auto a = TraceAnalyzer::analyze(events);
-  ASSERT_TRUE(a.control_plane_stats);
-  EXPECT_EQ(a.cp_instantiations, 200u);
-  EXPECT_EQ(a.cp_templated, 150u);
-  EXPECT_EQ(a.cp_patches, 2u);
-  EXPECT_DOUBLE_EQ(a.templated_share(), 0.75);
-
-  const auto report = render_report(a);
-  EXPECT_NE(report.find("Control plane: 200 instantiations"), std::string::npos);
-  EXPECT_NE(report.find("75.0% templated"), std::string::npos);
-  EXPECT_NE(report.find("2 patched"), std::string::npos);
-
-  // Traces recorded before templates existed analyze fine without the args.
-  const auto legacy = TraceAnalyzer::analyze(two_worker_trace());
-  EXPECT_FALSE(legacy.control_plane_stats);
-  EXPECT_EQ(render_report(legacy).find("Control plane"), std::string::npos);
-}
-
 TEST(Analysis, ServiceLatencyParsesFromTheAnchorSpan) {
   auto events = two_worker_trace();
   events[0].args = {{"latency_p50", "12.5"},

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -113,11 +114,16 @@ TEST(History, SerializeEscapesDelimiterInAppName) {
   ExecutionHistory h;
   h.record("blast|nr|v5", PlacementStrategy::kRealTime, 120.0);
   h.record("back\\slash", PlacementStrategy::kRemoteRead, 60.0);
+  h.record("multi\nline", PlacementStrategy::kRemoteRead, 30.0);
+  h.record("", PlacementStrategy::kRemoteRead, 15.0);
   const auto text = h.serialize();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);  // one line per entry
   const auto back = ExecutionHistory::deserialize(text);
   EXPECT_EQ(back.observations("blast|nr|v5", PlacementStrategy::kRealTime), 1u);
   EXPECT_NEAR(*back.mean_makespan("blast|nr|v5", PlacementStrategy::kRealTime), 120.0, 1e-9);
   EXPECT_EQ(back.observations("back\\slash", PlacementStrategy::kRemoteRead), 1u);
+  EXPECT_EQ(back.observations("multi\nline", PlacementStrategy::kRemoteRead), 1u);
+  EXPECT_EQ(back.observations("", PlacementStrategy::kRemoteRead), 1u);
   // Serializing the decoded history again is a fixed point.
   EXPECT_EQ(back.serialize(), text);
 }
@@ -139,6 +145,8 @@ TEST(History, DeserializeRejectsMalformedLines) {
   // Dangling escape at end of line, and unknown escape sequence.
   EXPECT_THROW(ExecutionHistory::deserialize("app\\|real-time|3|1.0\\"), FriedaError);
   EXPECT_THROW(ExecutionHistory::deserialize("app\\q|real-time|3|1.0"), FriedaError);
+  EXPECT_THROW(ExecutionHistory::deserialize("oops\\"), FriedaError);
+  EXPECT_THROW(ExecutionHistory::deserialize("bad\\q"), FriedaError);
   // Blank lines are still tolerated.
   const auto h = ExecutionHistory::deserialize("\n  \napp|real-time|1|2.0\n\n");
   EXPECT_EQ(h.observations("app", PlacementStrategy::kRealTime), 1u);

@@ -1,5 +1,5 @@
 // StableHasher / Fingerprint: deterministic, typed, order-sensitive field
-// hashing — the encoding the sweep engine's result cache is keyed by.
+// hashing — the encoding the sweep engine's memoization is keyed by.
 #include <gtest/gtest.h>
 
 #include <set>

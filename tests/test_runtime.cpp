@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/error.hpp"
@@ -207,6 +210,12 @@ TEST_F(RtEngineTest, RealTimeRunStagesAndExecutes) {
   auto units = core::PartitionGenerator::generate(core::PartitionScheme::kSingleFile,
                                                   engine.catalog());
   std::atomic<int> executed{0};
+  // Bounded latch: each unit waits until all three worker threads have
+  // entered the executor, so one fast worker cannot drain the queue before
+  // the others have pulled their first unit.
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  std::set<std::thread::id> entered;
   const auto report = engine.run(
       std::move(units), core::CommandTemplate("analyze $inp1"),
       [&](const core::WorkUnit&, const std::vector<std::string>& paths,
@@ -215,6 +224,13 @@ TEST_F(RtEngineTest, RealTimeRunStagesAndExecutes) {
         EXPECT_TRUE(fs::exists(paths[0]));                    // bytes really arrived
         EXPECT_EQ(fs::file_size(paths[0]), 64 * KiB);
         EXPECT_NE(command.find("analyze "), std::string::npos);
+        {
+          std::unique_lock<std::mutex> lock(latch_mutex);
+          entered.insert(std::this_thread::get_id());
+          latch_cv.notify_all();
+          latch_cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return entered.size() >= 3; });
+        }
         ++executed;
         return true;
       });

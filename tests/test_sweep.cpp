@@ -1,34 +1,27 @@
 // Sweep engine tests: thread-count invariance of real scenario runs, seed
 // derivation, deterministic result ordering under skewed job timings,
-// exception isolation, memoization (fingerprint stability, cache hit/miss
-// correctness, in-batch dedup, global cross-grid cache), cost-aware
-// longest-first scheduling, FRIEDA_SWEEP_THREADS validation, ScenarioSweep
-// lifecycle, runner metrics, concurrent create-or-get on shared
-// MetricsRegistry / ResultCache instances (the tests the tsan preset
-// exists for), backend selection (FRIEDA_SWEEP_BACKEND), the fork-based
-// process backend (identical results, crash isolation), steal-half
-// dispatch, and result-cache persistence (FRIEDA_RESULT_CACHE_FILE).
+// exception isolation, memoization (fingerprint stability, in-batch twins,
+// opt-out), cost-aware longest-first scheduling, FRIEDA_SWEEP_THREADS
+// validation, ScenarioSweep lifecycle, runner metrics, concurrent
+// create-or-get on a shared MetricsRegistry (the test the tsan preset
+// exists for), live progress reporting, and steal-half dispatch.
 #include <gtest/gtest.h>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "exp/calibrate.hpp"
 #include "exp/cost.hpp"
 #include "exp/grid.hpp"
-#include "exp/result_cache.hpp"
 #include "exp/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report_sink.hpp"
@@ -80,12 +73,8 @@ std::vector<Job<core::RunReport>> scenario_jobs() {
 }
 
 TEST(Sweep, ThreadCountInvariance) {
-  // Memoization off: this test is about the *execution* paths being
-  // thread-count invariant, so both runners must actually run every job.
   SweepRunner<> one(SweepOptions{1});
   SweepRunner<> eight(SweepOptions{8});
-  one.set_cache(nullptr);
-  eight.set_cache(nullptr);
   const auto seq = one.run(scenario_jobs());
   const auto par = eight.run(scenario_jobs());
   EXPECT_EQ(one.threads_used(), 1u);
@@ -110,11 +99,12 @@ TEST(Sweep, SharedModelMatchesPerJobModel) {
   Grid grid;
   grid.add_als(PlacementStrategy::kRealTime, opt);
   grid.add_als(PlacementStrategy::kRealTime, opt, shared);
-  SweepRunner<> runner;
   // Both cells carry the same fingerprint (the model is a pure function of
   // opt.scale); disable memoization so both actually execute — the point is
   // that the shared-model code path computes the same report.
-  runner.set_cache(nullptr);
+  SweepOptions sopt;
+  sopt.memoize = false;
+  SweepRunner<> runner(sopt);
   const auto out = runner.run(grid.take());
   EXPECT_EQ(runner.runs_executed(), 2u);
   expect_reports_equal(out[0].get(), out[1].get());
@@ -203,92 +193,48 @@ TEST(Sweep, HookedOptionsAreNotFingerprintable) {
   EXPECT_FALSE(scenario_fingerprint("als", "real-time", metered).has_value());
 }
 
-TEST(Sweep, TemplateFingerprintIsStructuralOnly) {
-  // The execution-template key is deliberately coarser than the result key:
-  // patchable fields (seed, VM shape) must share it, structural ones split.
-  const PaperScenarioOptions base;
-  const auto key =
-      scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, base);
-  ASSERT_TRUE(key.has_value());
-
-  auto patchable = base;
-  patchable.seed = 99;
-  patchable.worker_vms = 8;
-  patchable.multicore = false;
-  EXPECT_EQ(*key, *scenario_template_fingerprint("blast", PlacementStrategy::kRealTime,
-                                                 patchable));
-
-  auto scaled = base;
-  scaled.scale = 0.5;
-  EXPECT_NE(*key,
-            *scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, scaled));
-  EXPECT_NE(*key, *scenario_template_fingerprint(
-                      "blast", PlacementStrategy::kPrePartitionLocal, base));
-
-  // Tracer/metrics hooks stay templatable (the run still executes fully),
-  // but an arrange hook disqualifies — no captured decision set covers it.
-  obs::MetricsRegistry registry;
-  auto metered = base;
-  metered.metrics = &registry;
-  EXPECT_TRUE(scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, metered)
-                  .has_value());
-  auto arranged = base;
-  arranged.arrange = [](sim::Simulation&, cluster::VirtualCluster&, core::FriedaRun&) {};
-  EXPECT_FALSE(
-      scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, arranged)
-          .has_value());
-}
-
 // ---------------------------------------------------------------------------
-// Memoization: cache hits, in-batch dedup, opt-outs.
+// Memoization: in-batch twins, opt-outs.
 // ---------------------------------------------------------------------------
 
 TEST(Sweep, CacheHitServesIdenticalReport) {
+  // Duplicate cells are served from their executing twin, and the copy is
+  // field-identical to running the cell on its own.
   PaperScenarioOptions opt;
   opt.scale = 0.1;
-  opt.seed = 4242;  // distinctive: this cell belongs to this test's cache only
-  ResultCache<core::RunReport> cache;
-
-  auto make_jobs = [&] {
-    Grid grid;
-    grid.add_blast(PlacementStrategy::kRealTime, opt);
-    grid.add_als(PlacementStrategy::kPrePartitionRemote, opt);
-    return grid.take();
-  };
-
-  SweepRunner<> cold;
-  cold.set_cache(&cache);
-  const auto first = cold.run(make_jobs());
-  EXPECT_EQ(cold.runs_executed(), 2u);
-  EXPECT_EQ(cold.cache_hits(), 0u);
-  EXPECT_FALSE(first[0].from_cache);
-  EXPECT_EQ(cache.size(), 2u);
-
-  SweepRunner<> warm;
-  warm.set_cache(&cache);
-  const auto second = warm.run(make_jobs());
-  EXPECT_EQ(warm.runs_requested(), 2u);
-  EXPECT_EQ(warm.runs_executed(), 0u);
-  EXPECT_EQ(warm.cache_hits(), 2u);
-  EXPECT_EQ(warm.threads_used(), 0u);  // nothing left to execute
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    ASSERT_TRUE(second[i].ok()) << second[i].error;
-    EXPECT_TRUE(second[i].from_cache);
-    expect_reports_equal(first[i].get(), second[i].get());
+  opt.seed = 4242;
+  Grid grid;
+  const auto blast = grid.add_blast(PlacementStrategy::kRealTime, opt);
+  const auto als = grid.add_als(PlacementStrategy::kPrePartitionRemote, opt);
+  const auto blast_twin = grid.add_blast(PlacementStrategy::kRealTime, opt);
+  const auto als_twin = grid.add_als(PlacementStrategy::kPrePartitionRemote, opt);
+  SweepRunner<> runner;
+  const auto out = runner.run(grid.take());
+  EXPECT_EQ(runner.runs_requested(), 4u);
+  EXPECT_EQ(runner.runs_executed(), 2u);
+  EXPECT_EQ(runner.cache_hits(), 2u);
+  for (const auto [prime, twin] : {std::pair{blast, blast_twin}, std::pair{als, als_twin}}) {
+    ASSERT_TRUE(out[prime].ok()) << out[prime].error;
+    ASSERT_TRUE(out[twin].ok()) << out[twin].error;
+    EXPECT_FALSE(out[prime].from_cache);
+    EXPECT_TRUE(out[twin].from_cache);
+    expect_reports_equal(out[prime].get(), out[twin].get());
   }
+  expect_reports_equal(out[blast_twin].get(),
+                       workload::run_blast(PlacementStrategy::kRealTime, opt));
+  expect_reports_equal(out[als_twin].get(),
+                       workload::run_als(PlacementStrategy::kPrePartitionRemote, opt));
 }
 
 TEST(Sweep, InBatchDuplicatesExecuteOnce) {
   PaperScenarioOptions opt;
   opt.scale = 0.1;
   opt.seed = 4243;
-  ResultCache<core::RunReport> cache;
   Grid grid;
   const auto a = grid.add_blast(PlacementStrategy::kRealTime, opt);
   const auto b = grid.add_als(PlacementStrategy::kRealTime, opt);
   const auto c = grid.add_blast(PlacementStrategy::kRealTime, opt);  // duplicate of a
   SweepRunner<> runner(SweepOptions{2});
-  runner.set_cache(&cache);
   const auto out = runner.run(grid.take());
   EXPECT_EQ(runner.runs_requested(), 3u);
   EXPECT_EQ(runner.runs_executed(), 2u);
@@ -302,70 +248,41 @@ TEST(Sweep, InBatchDuplicatesExecuteOnce) {
 }
 
 TEST(Sweep, AdHocJobsAreNeverCached) {
-  // Backend-agnostic by design: under the process backend the job body runs
-  // in a forked child, so execution is asserted through the runner's
-  // counters, not a parent-side flag the child could never touch.
-  ResultCache<core::RunReport> cache;
-  auto make_jobs = [] {
-    Grid grid;
-    grid.add("adhoc", [] {
+  // Identical ad-hoc jobs carry no fingerprint, so each one executes.
+  std::atomic<int> executed{0};
+  Grid grid;
+  for (int i = 0; i < 2; ++i) {
+    grid.add("adhoc", [&executed] {
+      ++executed;
       core::RunReport r;
       r.app = "adhoc";
       return r;
     });
-    return grid.take();
-  };
+  }
   SweepRunner<> runner;
-  runner.set_cache(&cache);
-  (void)runner.run(make_jobs());
-  EXPECT_EQ(runner.runs_executed(), 1u);
-  (void)runner.run(make_jobs());
-  EXPECT_EQ(runner.runs_executed(), 1u);  // executed again, not served
+  const auto out = runner.run(grid.take());
+  EXPECT_EQ(runner.runs_executed(), 2u);
   EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(cache.size(), 0u);  // never entered the cache
+  EXPECT_EQ(executed.load(), 2);
+  EXPECT_FALSE(out[0].from_cache);
+  EXPECT_FALSE(out[1].from_cache);
 }
 
 TEST(Sweep, MemoizeOptOutExecutesEverything) {
   PaperScenarioOptions opt;
   opt.scale = 0.1;
   opt.seed = 4244;
-  ResultCache<core::RunReport> cache;
   SweepOptions sopt;
   sopt.memoize = false;
   SweepRunner<> runner(sopt);
-  runner.set_cache(&cache);
   Grid grid;
   grid.add_blast(PlacementStrategy::kRealTime, opt);
   grid.add_blast(PlacementStrategy::kRealTime, opt);  // duplicate, still runs
   const auto out = runner.run(grid.take());
   EXPECT_EQ(runner.runs_executed(), 2u);
   EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(out[1].from_cache);
   expect_reports_equal(out[0].get(), out[1].get());
-}
-
-TEST(Sweep, GlobalCacheSpansGrids) {
-  // The driver pattern: two independent ScenarioSweeps in one process share
-  // the process-global cache, so a baseline re-run in the second grid is
-  // served from the first.  Distinctive seed keeps this test self-contained.
-  PaperScenarioOptions opt;
-  opt.scale = 0.1;
-  opt.seed = 0xfeedbeef;
-  ScenarioSweep first;
-  const auto id1 = first.grid().add_blast(PlacementStrategy::kRealTime, opt);
-  first.run();
-  EXPECT_EQ(first.runs_executed(), 1u);
-
-  ScenarioSweep second;
-  const auto id2 = second.grid().add_blast(PlacementStrategy::kRealTime, opt);
-  const auto id3 = second.grid().add_blast(PlacementStrategy::kPrePartitionRemote, opt);
-  second.run();
-  EXPECT_EQ(second.runs_requested(), 2u);
-  EXPECT_EQ(second.runs_executed(), 1u);  // only the pre-partition cell is new
-  EXPECT_EQ(second.cache_hits(), 1u);
-  EXPECT_TRUE(second.outcome(id2).from_cache);
-  EXPECT_FALSE(second.outcome(id3).from_cache);
-  expect_reports_equal(first.report(id1), second.report(id2));
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +310,6 @@ TEST(Sweep, ScheduleIsLongestFirstWithJobOrderSlots) {
              /*cost=*/static_cast<double>(i));
   }
   SweepRunner<> runner(SweepOptions{3});
-  runner.set_cache(nullptr);
   const auto out = runner.run(grid.take());
   EXPECT_EQ(runner.schedule(), (std::vector<std::size_t>{5, 4, 3, 2, 1, 0}));
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -416,18 +332,13 @@ TEST(Sweep, ScenarioCostsOrderSensibly) {
   narrow.multicore = false;
   EXPECT_GT(scenario_cost("blast", false, narrow), scenario_cost("blast", false, opt));
   // Grid stamps scenario jobs with these costs: sequential sorts first.
-  // Calibration is pinned off — earlier tests in this process may have
-  // taught the global calibrator rates that would rescale the costs.
   Grid grid;
-  grid.set_calibrator(nullptr);
   grid.add_blast(PlacementStrategy::kRealTime, opt);
   grid.add_blast_sequential(opt);
   auto jobs = grid.take();
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_GT(jobs[1].cost, jobs[0].cost);
   SweepRunner<> runner(SweepOptions{1});
-  runner.set_cache(nullptr);
-  runner.set_calibrator(nullptr);
   const auto out = runner.run(std::move(jobs));
   EXPECT_EQ(runner.schedule(), (std::vector<std::size_t>{1, 0}));
   EXPECT_TRUE(out[0].ok() && out[1].ok());
@@ -483,16 +394,20 @@ TEST(Sweep, ThrowingJobIsIsolated) {
 }
 
 TEST(Sweep, FailedRunsAreNotCached) {
-  ResultCache<int> cache;
+  // A failed primary serves its twin the same error, never a value.
   StableHasher h;
   const auto fp = h.mix_str("boom-key").digest();
   std::vector<Job<int>> jobs;
   jobs.push_back({"boom", []() -> int { throw std::runtime_error("nope"); }, fp});
+  jobs.push_back({"boom-twin", []() -> int { return 1; }, fp});
   SweepRunner<int> runner;
-  runner.set_cache(&cache);
   const auto out = runner.run(std::move(jobs));
+  EXPECT_EQ(runner.runs_executed(), 1u);
   EXPECT_FALSE(out[0].ok());
-  EXPECT_EQ(cache.size(), 0u);  // errors never enter the cache
+  EXPECT_FALSE(out[1].ok());
+  EXPECT_TRUE(out[1].from_cache);
+  EXPECT_EQ(out[1].error, out[0].error);
+  EXPECT_NE(out[1].error.find("nope"), std::string::npos);
 }
 
 TEST(Sweep, EmptyBatchAndThreadResolution) {
@@ -573,17 +488,12 @@ TEST(Sweep, RunnerMetricsTrackProgress) {
   PaperScenarioOptions opt;
   opt.scale = 0.1;
   opt.seed = 4245;
-  ResultCache<core::RunReport> cache;
   SweepRunner<> runner(SweepOptions{2});
-  runner.set_cache(&cache);
-  auto make_jobs = [&] {
-    Grid grid;
-    grid.add_blast(PlacementStrategy::kRealTime, opt);
-    grid.add_als(PlacementStrategy::kRealTime, opt);
-    return grid.take();
-  };
-  (void)runner.run(make_jobs());
-  (void)runner.run(make_jobs());  // warm: both served from cache
+  Grid grid;
+  grid.add_blast(PlacementStrategy::kRealTime, opt);
+  grid.add_als(PlacementStrategy::kRealTime, opt);
+  grid.add_blast(PlacementStrategy::kRealTime, opt);  // in-batch twin
+  (void)runner.run(grid.take());
   const auto& m = runner.metrics();
   const auto* completed = m.find_counter("sweep.jobs_completed");
   const auto* hits = m.find_counter("sweep.cache_hits");
@@ -595,18 +505,17 @@ TEST(Sweep, RunnerMetricsTrackProgress) {
   ASSERT_NE(executed, nullptr);
   ASSERT_NE(in_flight, nullptr);
   ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(completed->value(), 2u);  // dispatched jobs only (first run)
+  EXPECT_EQ(completed->value(), 2u);  // dispatched jobs only
   EXPECT_EQ(executed->value(), 2u);
-  EXPECT_EQ(hits->value(), 2u);       // second run was fully cached
+  EXPECT_EQ(hits->value(), 1u);       // the twin was served
   EXPECT_EQ(in_flight->value(), 0.0); // everything drained
   EXPECT_EQ(wall->count(), 2u);
   EXPECT_GT(wall->mean(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: shared MetricsRegistry across jobs, and concurrent
-// lookup/insert on one shared ResultCache from parallel sweeps.  Run these
-// under the asan and tsan presets (see docs/performance.md).
+// Concurrency: shared MetricsRegistry across jobs.  Run this under the asan
+// and tsan presets (see docs/performance.md).
 // ---------------------------------------------------------------------------
 
 TEST(Sweep, SharedMetricsRegistryAcrossJobs) {
@@ -646,201 +555,6 @@ TEST(Sweep, SharedMetricsRegistryAcrossJobs) {
   EXPECT_NE(registry.csv().find("job0.units,counter,100"), std::string::npos);
 }
 
-TEST(Sweep, ConcurrentSweepsShareOneCache) {
-  // Four concurrent sweeps over overlapping key sets race lookup/insert on
-  // one cache; every outcome must be correct and the cache must end with
-  // exactly one entry per distinct key.
-  ResultCache<int> cache;
-  constexpr std::size_t kSweeps = 4;
-  constexpr std::size_t kKeys = 8;
-  constexpr std::size_t kJobsPerSweep = 24;
-  std::vector<std::vector<JobOutcome<int>>> results(kSweeps);
-  std::vector<std::thread> sweeps;
-  for (std::size_t s = 0; s < kSweeps; ++s) {
-    sweeps.emplace_back([s, &cache, &results] {
-      std::vector<Job<int>> jobs;
-      for (std::size_t i = 0; i < kJobsPerSweep; ++i) {
-        const std::size_t key = (s + i) % kKeys;  // overlap across sweeps
-        StableHasher h;
-        h.mix_str("concurrent").mix_u64(key);
-        jobs.push_back({"k" + std::to_string(key),
-                        [key] { return static_cast<int>(key * 10); }, h.digest()});
-      }
-      SweepRunner<int> runner(SweepOptions{4});
-      runner.set_cache(&cache);
-      results[s] = runner.run(std::move(jobs));
-    });
-  }
-  for (auto& t : sweeps) t.join();
-  EXPECT_EQ(cache.size(), kKeys);
-  for (std::size_t s = 0; s < kSweeps; ++s) {
-    ASSERT_EQ(results[s].size(), kJobsPerSweep);
-    for (std::size_t i = 0; i < kJobsPerSweep; ++i) {
-      ASSERT_TRUE(results[s][i].ok()) << results[s][i].error;
-      EXPECT_EQ(results[s][i].get(), static_cast<int>(((s + i) % kKeys) * 10));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded result cache: LRU eviction.
-// ---------------------------------------------------------------------------
-
-Fingerprint key_of(std::uint64_t i) {
-  StableHasher h;
-  h.mix_str("lru-test").mix_u64(i);
-  return h.digest();
-}
-
-TEST(ResultCacheLru, EvictsLeastRecentlyUsedInOrder) {
-  ResultCache<int> cache(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  cache.insert(key_of(0), 0);
-  cache.insert(key_of(1), 1);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Touch 0 so 1 becomes the LRU entry, then overflow.
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());
-  cache.insert(key_of(2), 2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());  // evicted
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());   // kept (recently used)
-  EXPECT_TRUE(cache.lookup(key_of(2)).has_value());
-
-  // Re-inserting an existing key refreshes recency instead of evicting.
-  cache.insert(key_of(0), 0);
-  cache.insert(key_of(3), 3);
-  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());
-}
-
-TEST(ResultCacheLru, ShrinkingTheCapEvictsImmediately) {
-  ResultCache<int> cache;  // default generous cap
-  EXPECT_EQ(cache.max_entries(), ResultCache<int>::kDefaultMaxEntries);
-  for (std::uint64_t i = 0; i < 8; ++i) cache.insert(key_of(i), static_cast<int>(i));
-  cache.set_max_entries(3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 5u);
-  // The survivors are the three most recently inserted.
-  EXPECT_TRUE(cache.lookup(key_of(7)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(6)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(5)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(4)).has_value());
-
-  cache.set_max_entries(0);  // unbounded again
-  for (std::uint64_t i = 10; i < 30; ++i) cache.insert(key_of(i), static_cast<int>(i));
-  EXPECT_EQ(cache.size(), 23u);
-}
-
-TEST(ResultCacheLru, RunnerCountsEvictionsInMetrics) {
-  ResultCache<int> cache(1);
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(&cache);
-  std::vector<Job<int>> jobs;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    jobs.push_back({"j" + std::to_string(i), [i] { return static_cast<int>(i); },
-                    key_of(100 + i)});
-  }
-  const auto out = runner.run(std::move(jobs));
-  for (const auto& o : out) EXPECT_TRUE(o.ok());
-  // Four distinct keys through a 1-entry cache: three insert-evictions.
-  const auto* evicted = runner.metrics().find_counter("sweep.cache_evictions");
-  ASSERT_NE(evicted, nullptr);
-  EXPECT_EQ(evicted->value(), 3u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Measured-cost calibration.
-// ---------------------------------------------------------------------------
-
-TEST(Calibrator, ConvergesToObservedRate) {
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.rate("als/rt").has_value());
-  EXPECT_DOUBLE_EQ(cal.calibrated("als/rt", 10.0), 10.0);  // unseen: raw passthrough
-
-  // Jobs of this class consistently take 0.5 s per cost unit.
-  for (int i = 0; i < 32; ++i) cal.observe("als/rt", 4.0, 2.0);
-  ASSERT_TRUE(cal.rate("als/rt").has_value());
-  EXPECT_NEAR(*cal.rate("als/rt"), 0.5, 1e-9);
-  EXPECT_NEAR(cal.calibrated("als/rt", 10.0), 5.0, 1e-6);
-
-  // A drifting machine: the EWMA tracks the new rate.
-  for (int i = 0; i < 64; ++i) cal.observe("als/rt", 4.0, 4.0);
-  EXPECT_NEAR(*cal.rate("als/rt"), 1.0, 1e-3);
-
-  // Garbage observations are ignored.
-  cal.observe("als/rt", 0.0, 1.0);
-  cal.observe("als/rt", 1.0, -1.0);
-  EXPECT_NEAR(*cal.rate("als/rt"), 1.0, 1e-3);
-  EXPECT_EQ(cal.classes(), 1u);
-  cal.clear();
-  EXPECT_EQ(cal.classes(), 0u);
-}
-
-TEST(Calibrator, RunnerFeedsMeasuredWallTimesPerClass) {
-  CostCalibrator cal;
-  SweepRunner<int> runner(SweepOptions{2});
-  runner.set_cache(nullptr);
-  runner.set_calibrator(&cal);
-  std::vector<Job<int>> jobs;
-  for (int i = 0; i < 4; ++i) {
-    Job<int> job{"sleepy" + std::to_string(i), [] {
-                   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                   return 1;
-                 }};
-    job.cost = 2.0;
-    job.calibration = Job<int>::Calibration{"test/sleepy", 2.0};
-    jobs.push_back(std::move(job));
-  }
-  (void)runner.run(std::move(jobs));
-  ASSERT_TRUE(cal.rate("test/sleepy").has_value());
-  // ~20 ms over 2 cost units => ~10 ms per unit; generous bounds for CI noise.
-  EXPECT_GT(*cal.rate("test/sleepy"), 0.002);
-  EXPECT_LT(*cal.rate("test/sleepy"), 1.0);
-  // Next grid of the same class schedules with the measured rate.
-  EXPECT_NEAR(cal.calibrated("test/sleepy", 2.0), 2.0 * *cal.rate("test/sleepy"), 1e-12);
-}
-
-TEST(Calibrator, FailedJobsTeachNothing) {
-  CostCalibrator cal;
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(nullptr);
-  runner.set_calibrator(&cal);
-  std::vector<Job<int>> jobs;
-  Job<int> bad{"boom", []() -> int { throw std::runtime_error("no"); }};
-  bad.calibration = Job<int>::Calibration{"test/boom", 1.0};
-  jobs.push_back(std::move(bad));
-  const auto out = runner.run(std::move(jobs));
-  EXPECT_FALSE(out[0].ok());
-  EXPECT_FALSE(cal.rate("test/boom").has_value());
-}
-
-TEST(Calibrator, GridStampsCalibratedCostsAndCalibrationTags) {
-  CostCalibrator cal;
-  cal.observe("blast/real-time", 1.0, 3.0);  // learned rate: 3 s per unit
-  PaperScenarioOptions opt;
-  opt.scale = 0.2;
-  Grid grid;
-  grid.set_calibrator(&cal);
-  grid.add_blast(PlacementStrategy::kRealTime, opt);
-  auto jobs = grid.take();
-  ASSERT_EQ(jobs.size(), 1u);
-  ASSERT_TRUE(jobs[0].calibration.has_value());
-  EXPECT_EQ(jobs[0].calibration->key, "blast/real-time");
-  const double raw = scenario_cost("blast", false, opt);
-  EXPECT_DOUBLE_EQ(jobs[0].calibration->raw_cost, raw);
-  EXPECT_NEAR(jobs[0].cost, 3.0 * raw, 1e-9);
-
-  // With calibration disabled the static estimate is used untouched.
-  Grid pinned;
-  pinned.set_calibrator(nullptr);
-  pinned.add_blast(PlacementStrategy::kRealTime, opt);
-  auto raw_jobs = pinned.take();
-  EXPECT_DOUBLE_EQ(raw_jobs[0].cost, raw);
-}
-
 // ---------------------------------------------------------------------------
 // Live progress reporting (opt-in; silent by default).
 // ---------------------------------------------------------------------------
@@ -864,7 +578,6 @@ TEST(Progress, ReporterPrintsThrottledUpdatesAndFinishLine) {
   obs::ProgressReporter reporter(popt);
 
   SweepRunner<int> runner(SweepOptions{2});
-  runner.set_cache(nullptr);
   runner.set_progress(&reporter);
   std::vector<Job<int>> jobs;
   for (int i = 0; i < 4; ++i) {
@@ -944,9 +657,7 @@ TEST(Progress, DuplicateHeavyGridReportsServedJobsWithoutSkewingEta) {
   // 12 jobs, only 3 distinct fingerprints: 9 are in-batch twins served at
   // zero cost.  Zero cost estimates force the count fallback — the path
   // that used to weight memoized jobs at full per-job cost.
-  ResultCache<int> cache;
   SweepRunner<int> runner(SweepOptions{2});
-  runner.set_cache(&cache);
   runner.set_progress(&reporter);
   std::vector<Job<int>> jobs;
   for (int i = 0; i < 12; ++i) {
@@ -1016,345 +727,57 @@ TEST(Progress, FromEnvInvalidValueFallsBackToDefaultInterval) {
 }
 
 // ---------------------------------------------------------------------------
-// Calibration persistence (FRIEDA_CALIBRATION_FILE).
-// ---------------------------------------------------------------------------
-
-std::string temp_calibration_path(const char* name) {
-  return std::string(testing::TempDir()) + "/" + name;
-}
-
-TEST(CalibratorPersistence, SaveThenLoadRoundTrips) {
-  const auto path = temp_calibration_path("frieda_cal_roundtrip.tsv");
-  std::remove(path.c_str());
-
-  CostCalibrator writer;
-  writer.observe("blast/realtime", 10.0, 5.0);   // rate 0.5
-  writer.observe("als/prepartition", 4.0, 8.0);  // rate 2.0
-  ASSERT_TRUE(writer.save_file(path));
-
-  CostCalibrator reader;
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.classes(), 2u);
-  EXPECT_DOUBLE_EQ(reader.rate("blast/realtime").value(), 0.5);
-  EXPECT_DOUBLE_EQ(reader.rate("als/prepartition").value(), 2.0);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, InProcessRatesWinOverFileRates) {
-  const auto path = temp_calibration_path("frieda_cal_merge.tsv");
-  CostCalibrator writer;
-  writer.observe("class/a", 1.0, 3.0);  // file rate 3.0
-  writer.observe("class/b", 1.0, 7.0);  // file rate 7.0
-  ASSERT_TRUE(writer.save_file(path));
-
-  CostCalibrator reader;
-  reader.observe("class/a", 1.0, 1.0);  // fresher in-process rate 1.0
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_DOUBLE_EQ(reader.rate("class/a").value(), 1.0);  // measured wins
-  EXPECT_DOUBLE_EQ(reader.rate("class/b").value(), 7.0);  // file seeds the rest
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, MissingFileIsAQuietColdStart) {
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.load_file(temp_calibration_path("frieda_cal_nonexistent.tsv")));
-  EXPECT_EQ(cal.classes(), 0u);
-}
-
-TEST(CalibratorPersistence, MalformedContentIsSkippedNotTrusted) {
-  const auto path = temp_calibration_path("frieda_cal_malformed.tsv");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-calibration v1\n", f);
-    std::fputs("good/class\t1.5\n", f);
-    std::fputs("no-tab-line\n", f);          // malformed: no separator
-    std::fputs("bad/rate\tpotato\n", f);     // malformed: non-numeric rate
-    std::fputs("bad/negative\t-2.0\n", f);   // malformed: rate must be > 0
-    std::fputs("bad/trailing\t1.5x\n", f);   // malformed: trailing junk
-    std::fclose(f);
-  }
-  CostCalibrator cal;
-  EXPECT_TRUE(cal.load_file(path));  // something valid was loaded
-  EXPECT_EQ(cal.classes(), 1u);
-  EXPECT_DOUBLE_EQ(cal.rate("good/class").value(), 1.5);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, WrongHeaderIsRejectedEntirely) {
-  const auto path = temp_calibration_path("frieda_cal_header.tsv");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-calibration v999\n", f);
-    std::fputs("some/class\t1.5\n", f);
-    std::fclose(f);
-  }
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.load_file(path));
-  EXPECT_EQ(cal.classes(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, SweepCompletionSavesWhenPathAttached) {
-  const auto path = temp_calibration_path("frieda_cal_sweep.tsv");
-  std::remove(path.c_str());
-
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.save_if_persistent());  // no path attached -> no-op
-  cal.set_persist_path(path);
-  EXPECT_EQ(cal.persist_path(), path);
-
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(nullptr);
-  runner.set_calibrator(&cal);
-  std::vector<Job<int>> jobs;
-  Job<int> job{"cal", [] {
-                 std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                 return 1;
-               }};
-  job.calibration = Job<int>::Calibration{"test/persist", 1.0};
-  jobs.push_back(std::move(job));
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-
-  // The runner checkpointed the learned rates on completion.
-  CostCalibrator reloaded;
-  ASSERT_TRUE(reloaded.load_file(path));
-  EXPECT_EQ(reloaded.classes(), 1u);
-  EXPECT_GT(reloaded.rate("test/persist").value(), 0.0);
-  std::remove(path.c_str());
-
-  cal.set_persist_path("");  // detach
-  EXPECT_FALSE(cal.save_if_persistent());
-}
-
-// ---------------------------------------------------------------------------
-// Backend selection (SweepOptions::backend, FRIEDA_SWEEP_BACKEND).
-// ---------------------------------------------------------------------------
-
-TEST(Backend, EnvParserIsExactMatchOnly) {
-  EXPECT_EQ(detail::parse_backend_env(nullptr), std::nullopt);
-  EXPECT_EQ(detail::parse_backend_env(""), std::nullopt);
-  EXPECT_EQ(detail::parse_backend_env("thread"), SweepBackend::kThread);
-  EXPECT_EQ(detail::parse_backend_env("process"), SweepBackend::kProcess);
-  for (const char* bad :
-       {"Thread", "PROCESS", " process", "process ", "fork", "threads", "1"}) {
-    EXPECT_EQ(detail::parse_backend_env(bad), std::nullopt)
-        << "'" << bad << "' must not select a backend";
-  }
-}
-
-TEST(Backend, ResolutionPrecedenceAndFallbacks) {
-  ASSERT_EQ(unsetenv("FRIEDA_SWEEP_BACKEND"), 0);
-  EXPECT_EQ(detail::resolve_backend(std::nullopt, true), SweepBackend::kThread);
-  EXPECT_EQ(detail::resolve_backend(SweepBackend::kProcess, true), SweepBackend::kProcess);
-  // Codec-less result types always run on threads, even when asked not to.
-  EXPECT_EQ(detail::resolve_backend(SweepBackend::kProcess, false), SweepBackend::kThread);
-
-  ASSERT_EQ(setenv("FRIEDA_SWEEP_BACKEND", "process", 1), 0);
-  EXPECT_EQ(detail::resolve_backend(std::nullopt, true), SweepBackend::kProcess);
-  EXPECT_EQ(detail::resolve_backend(std::nullopt, false), SweepBackend::kThread);
-  // An explicit option wins over the environment.
-  EXPECT_EQ(detail::resolve_backend(SweepBackend::kThread, true), SweepBackend::kThread);
-
-  // A typo warns and falls back to thread instead of guessing.
-  ASSERT_EQ(setenv("FRIEDA_SWEEP_BACKEND", "Process", 1), 0);
-  EXPECT_EQ(detail::resolve_backend(std::nullopt, true), SweepBackend::kThread);
-  ASSERT_EQ(unsetenv("FRIEDA_SWEEP_BACKEND"), 0);
-}
-
-TEST(Backend, CodeclessRunnerFallsBackToThreadAndStillRuns) {
-  SweepOptions opt;
-  opt.backend = SweepBackend::kProcess;
-  SweepRunner<int> runner(opt);  // int has no ReportCodec
-  runner.set_cache(nullptr);
-  std::vector<Job<int>> jobs;
-  jobs.push_back({"one", [] { return 7; }});
-  const auto out = runner.run(std::move(jobs));
-  EXPECT_EQ(out[0].get(), 7);
-  EXPECT_EQ(runner.backend_used(), SweepBackend::kThread);
-  EXPECT_EQ(runner.child_crashes(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fork plumbing (exp/process_pool.hpp).
-// ---------------------------------------------------------------------------
-
-TEST(ProcessPool, RunInChildShipsResultsErrorsAndCrashes) {
-  const auto ok = run_in_child([] { return std::string("payload"); });
-  EXPECT_TRUE(ok.delivered);
-  EXPECT_TRUE(ok.ok);
-  EXPECT_EQ(ok.payload, "payload");
-
-  const auto err =
-      run_in_child([]() -> std::string { throw std::runtime_error("child says no"); });
-  EXPECT_TRUE(err.delivered);
-  EXPECT_FALSE(err.ok);
-  EXPECT_EQ(err.payload, "child says no");
-
-  const auto aborted = run_in_child([]() -> std::string { std::abort(); });
-  EXPECT_FALSE(aborted.delivered);
-  EXPECT_NE(aborted.crash.find("signal"), std::string::npos) << aborted.crash;
-
-  const auto exited = run_in_child([]() -> std::string { ::_exit(9); });
-  EXPECT_FALSE(exited.delivered);
-  EXPECT_NE(exited.crash.find("status 9"), std::string::npos) << exited.crash;
-}
-
-TEST(ProcessPool, ReadFrameRejectsTruncationAndGarbageLengths) {
-  // Declared length outlives the writer: a crash mid-payload.
-  {
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    const unsigned char header[8] = {16, 0, 0, 0, 0, 0, 0, 0};
-    ASSERT_EQ(::write(fds[1], header, 8), 8);
-    ASSERT_EQ(::write(fds[1], "Rab", 3), 3);
-    ::close(fds[1]);
-    char status = 0;
-    std::string payload;
-    EXPECT_FALSE(detail::read_frame(fds[0], status, payload));
-    ::close(fds[0]);
-  }
-  // A zero or absurd declared length is a corrupted stream, not a request
-  // to allocate gigabytes.
-  for (const unsigned char fill : {static_cast<unsigned char>(0),
-                                   static_cast<unsigned char>(0xff)}) {
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    unsigned char header[8];
-    for (auto& b : header) b = fill;
-    ASSERT_EQ(::write(fds[1], header, 8), 8);
-    ::close(fds[1]);
-    char status = 0;
-    std::string payload;
-    EXPECT_FALSE(detail::read_frame(fds[0], status, payload));
-    ::close(fds[0]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Process backend: identical results, isolated crashes.
-// ---------------------------------------------------------------------------
-
-TEST(ProcessBackend, MatchesThreadBackendFieldIdentically) {
-  SweepOptions topt{2};
-  topt.backend = SweepBackend::kThread;
-  SweepOptions popt{2};
-  popt.backend = SweepBackend::kProcess;
-  SweepRunner<> threads(topt);
-  SweepRunner<> procs(popt);
-  threads.set_cache(nullptr);
-  procs.set_cache(nullptr);
-  const auto a = threads.run(scenario_jobs());
-  const auto b = procs.run(scenario_jobs());
-  EXPECT_EQ(procs.backend_used(), SweepBackend::kProcess);
-  EXPECT_EQ(procs.child_crashes(), 0u);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].ok()) << a[i].error;
-    ASSERT_TRUE(b[i].ok()) << b[i].error;
-    EXPECT_EQ(a[i].tag, b[i].tag);
-    expect_reports_equal(a[i].get(), b[i].get());
-  }
-}
-
-TEST(ProcessBackend, CrashedChildrenAreIsolatedJobOutcomes) {
-  // Thread-backend reference for the healthy cells.
-  SweepOptions topt{2};
-  topt.backend = SweepBackend::kThread;
-  SweepRunner<> ref(topt);
-  ref.set_cache(nullptr);
-  const auto healthy = ref.run(scenario_jobs());
-
-  // The same grid plus four saboteurs.  These run in forked children, so
-  // the violent deaths below never touch this process.
-  auto jobs = scenario_jobs();
-  jobs.push_back({"segv", []() -> core::RunReport {
-                    std::raise(SIGSEGV);
-                    return {};
-                  }});
-  jobs.push_back({"abort", []() -> core::RunReport { std::abort(); }});
-  jobs.push_back({"exit7", []() -> core::RunReport { ::_exit(7); }});
-  jobs.push_back({"throws", []() -> core::RunReport {
-                    throw std::runtime_error("child says no");
-                  }});
-
-  SweepOptions popt{2};
-  popt.backend = SweepBackend::kProcess;
-  SweepRunner<> runner(popt);
-  runner.set_cache(nullptr);
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_EQ(out.size(), healthy.size() + 4);
-  for (std::size_t i = 0; i < healthy.size(); ++i) {
-    ASSERT_TRUE(out[i].ok()) << out[i].error;
-    expect_reports_equal(out[i].get(), healthy[i].get());
-  }
-  const auto& segv = out[healthy.size()];
-  const auto& aborted = out[healthy.size() + 1];
-  const auto& exited = out[healthy.size() + 2];
-  const auto& threw = out[healthy.size() + 3];
-  // Bare metal reports the fatal signal; a sanitizer runtime intercepts
-  // the fault and turns it into a nonzero exit.  Both are crash outcomes.
-  const auto looks_like_crash = [](const std::string& error) {
-    return error.find("signal") != std::string::npos ||
-           error.find("status") != std::string::npos;
-  };
-  EXPECT_FALSE(segv.ok());
-  EXPECT_TRUE(looks_like_crash(segv.error)) << segv.error;
-  EXPECT_FALSE(aborted.ok());
-  EXPECT_TRUE(looks_like_crash(aborted.error)) << aborted.error;
-  EXPECT_FALSE(exited.ok());
-  EXPECT_NE(exited.error.find("status 7"), std::string::npos) << exited.error;
-  // A thrown exception is the job's own error — same what() the thread
-  // backend records — not a crash.
-  EXPECT_FALSE(threw.ok());
-  EXPECT_EQ(threw.error, "child says no");
-  EXPECT_EQ(runner.child_crashes(), 3u);
-  const auto* crashes = runner.metrics().find_counter("sweep.child_crashes");
-  ASSERT_NE(crashes, nullptr);
-  EXPECT_EQ(crashes->value(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Steal-half dispatch.
 // ---------------------------------------------------------------------------
 
 TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
-  auto make_jobs = [] {
+  // One long pole plus many quick cells.  The cost stamps pin the
+  // longest-first schedule [pole, quick0, quick1, ...], dealt round-robin
+  // over two workers, so worker 0 holds the pole with quick1 right behind
+  // it.  With `gated`, the pole waits (bounded) until quick1 has run; worker
+  // 0 is busy in the pole meanwhile, so only a steal can run quick1.
+  auto make_jobs = [](bool gated) {
+    auto quick1_ran = std::make_shared<std::atomic<bool>>(false);
     std::vector<Job<std::size_t>> jobs;
-    // One long pole plus many quick cells.  The cost stamps pin the
-    // longest-first schedule, so the pole is dealt to worker 0 with half the
-    // quick cells queued behind it.
     jobs.push_back({"pole",
-                    [] {
-                      std::this_thread::sleep_for(std::chrono::milliseconds(80));
+                    [gated, quick1_ran] {
+                      const auto deadline =
+                          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+                      while (gated && !quick1_ran->load() &&
+                             std::chrono::steady_clock::now() < deadline) {
+                        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                      }
                       return std::size_t{1000};
                     },
                     std::nullopt, 100.0});
     for (std::size_t i = 0; i < 12; ++i) {
-      jobs.push_back({"quick" + std::to_string(i), [i] { return i; }, std::nullopt, 1.0});
+      jobs.push_back({"quick" + std::to_string(i),
+                      [i, quick1_ran] {
+                        if (i == 1) quick1_ran->store(true);
+                        return i;
+                      },
+                      std::nullopt, 1.0});
     }
     return jobs;
   };
 
   SweepRunner<std::size_t> stealing(SweepOptions{2});
-  const auto stolen = stealing.run(make_jobs());
-  // Worker 1 drains its dealt half in microseconds while the pole sleeps,
-  // so it must have stolen from behind the pole at least once.
+  const auto stolen = stealing.run(make_jobs(/*gated=*/true));
   EXPECT_GT(stealing.steals(), 0u);
   const auto* steals_ctr = stealing.metrics().find_counter("sweep.steals");
   ASSERT_NE(steals_ctr, nullptr);
   EXPECT_EQ(steals_ctr->value(), stealing.steals());
 
+  // Without stealing (and on one thread) nothing could run quick1 while the
+  // pole waits, so these runs are ungated.
   SweepOptions pinned{2};
   pinned.steal = false;
   SweepRunner<std::size_t> stranded(pinned);
-  const auto kept = stranded.run(make_jobs());
+  const auto kept = stranded.run(make_jobs(/*gated=*/false));
   EXPECT_EQ(stranded.steals(), 0u);
 
   SweepRunner<std::size_t> seq(SweepOptions{1});
-  const auto serial = seq.run(make_jobs());
+  const auto serial = seq.run(make_jobs(/*gated=*/false));
 
   ASSERT_EQ(stolen.size(), kept.size());
   ASSERT_EQ(stolen.size(), serial.size());
@@ -1363,205 +786,6 @@ TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
     EXPECT_EQ(stolen[i].get(), kept[i].get());
     EXPECT_EQ(stolen[i].get(), serial[i].get());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Result-cache persistence (FRIEDA_RESULT_CACHE_FILE).
-// ---------------------------------------------------------------------------
-
-std::string temp_cache_path(const char* name) {
-  return std::string(testing::TempDir()) + "/" + name;
-}
-
-int decode_int_strict(const std::string& s) {
-  std::size_t used = 0;
-  const int v = std::stoi(s, &used);
-  if (used != s.size()) throw std::runtime_error("trailing junk in payload");
-  return v;
-}
-
-void attach_int_codec(ResultCache<int>& cache, const std::string& path) {
-  cache.set_persistence(path, [](const int& v) { return std::to_string(v); },
-                        decode_int_strict);
-}
-
-TEST(ResultCachePersistence, SaveThenLoadRoundTrips) {
-  const auto path = temp_cache_path("frieda_cache_roundtrip.txt");
-  std::remove(path.c_str());
-  StableHasher ha;
-  StableHasher hb;
-  const auto ka = ha.mix_str("cell-a").digest();
-  const auto kb = hb.mix_str("cell-b").digest();
-
-  ResultCache<int> writer;
-  EXPECT_FALSE(writer.save_if_persistent());  // no path attached -> no-op
-  attach_int_codec(writer, path);
-  EXPECT_EQ(writer.persist_path(), path);
-  writer.insert(ka, 17);
-  writer.insert(kb, 42);
-  ASSERT_TRUE(writer.save_if_persistent());
-  struct stat st;
-  EXPECT_NE(::stat(path.c_str(), &st), -1);
-  EXPECT_EQ(::stat((path + ".tmp").c_str(), &st), -1)
-      << "atomic save must not leave a temp file behind";
-
-  ResultCache<int> reader;
-  attach_int_codec(reader, path);
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.size(), 2u);
-  EXPECT_EQ(reader.lookup(ka).value(), 17);
-  EXPECT_EQ(reader.lookup(kb).value(), 42);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, InProcessEntriesWinOverFileEntries) {
-  const auto path = temp_cache_path("frieda_cache_merge.txt");
-  StableHasher ha;
-  StableHasher hb;
-  const auto ka = ha.mix_str("cell-a").digest();
-  const auto kb = hb.mix_str("cell-b").digest();
-  ResultCache<int> writer;
-  attach_int_codec(writer, path);
-  writer.insert(ka, 1);
-  writer.insert(kb, 2);
-  ASSERT_TRUE(writer.save_if_persistent());
-
-  ResultCache<int> reader;
-  attach_int_codec(reader, path);
-  reader.insert(ka, 99);  // fresher in-process value
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.lookup(ka).value(), 99);  // in-process wins
-  EXPECT_EQ(reader.lookup(kb).value(), 2);   // file seeds the rest
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, MalformedEntriesAreSkippedNotTrusted) {
-  const auto path = temp_cache_path("frieda_cache_malformed.txt");
-  StableHasher hg;
-  StableHasher hbad;
-  const auto good = hg.mix_str("good").digest();
-  const auto undecodable = hbad.mix_str("undecodable").digest();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-result-cache v1\n", f);
-    std::fprintf(f, "%s 2\n42\n", good.to_hex().c_str());
-    std::fputs("zz not-an-entry\n", f);  // malformed meta line
-    std::fprintf(f, "%s 5\nhello\n", undecodable.to_hex().c_str());  // bad payload
-    std::fclose(f);
-  }
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  EXPECT_TRUE(cache.load_file(path));  // something valid was loaded
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(good).value(), 42);
-  EXPECT_FALSE(cache.lookup(undecodable).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, WrongHeaderIsRejectedEntirely) {
-  const auto path = temp_cache_path("frieda_cache_header.txt");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-result-cache v999\n", f);
-    std::fclose(f);
-  }
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  EXPECT_FALSE(cache.load_file(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, MissingFileIsAQuietColdStart) {
-  ResultCache<int> cache;
-  EXPECT_FALSE(cache.load_file(temp_cache_path("frieda_cache_nonexistent.txt")));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ResultCachePersistence, SweepCompletionCheckpointsTheCache) {
-  const auto path = temp_cache_path("frieda_cache_sweep.txt");
-  std::remove(path.c_str());
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  StableHasher h;
-  const auto fp = h.mix_str("sweep-cell").digest();
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(&cache);
-  std::vector<Job<int>> jobs;
-  jobs.push_back({"cell", [] { return 123; }, fp});
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-
-  // run() checkpointed on completion: a fresh cache reloads the cell.
-  ResultCache<int> reloaded;
-  attach_int_codec(reloaded, path);
-  ASSERT_TRUE(reloaded.load_file(path));
-  EXPECT_EQ(reloaded.lookup(fp).value(), 123);
-  std::remove(path.c_str());
-}
-
-}  // namespace
-
-// A test-only result type with its own wire codec: exercises the
-// FRIEDA_RESULT_CACHE_FILE wiring on a fresh once_flag without touching the
-// global RunReport/RtReport caches other tests share.
-struct WireProbe {
-  int v = 0;
-};
-
-template <>
-struct ReportCodec<WireProbe> {
-  static constexpr bool kAvailable = true;
-  static std::string serialize(const WireProbe& p) { return std::to_string(p.v); }
-  static WireProbe deserialize(const std::string& s) {
-    std::size_t used = 0;
-    const int v = std::stoi(s, &used);
-    if (used != s.size()) throw std::runtime_error("bad probe payload");
-    return WireProbe{v};
-  }
-};
-
-namespace {
-
-TEST(ResultCachePersistence, EnvVariableWiresTheGlobalCache) {
-  const auto path = temp_cache_path("frieda_cache_env.txt");
-  std::remove(path.c_str());
-  StableHasher h;
-  const auto fp = h.mix_str("env-cell").digest();
-  {
-    // Seed the checkpoint from a disposable cache with the same codec.
-    ResultCache<WireProbe> seed;
-    seed.set_persistence(
-        path, [](const WireProbe& p) { return ReportCodec<WireProbe>::serialize(p); },
-        [](const std::string& s) { return ReportCodec<WireProbe>::deserialize(s); });
-    seed.insert(fp, WireProbe{7});
-    ASSERT_TRUE(seed.save_if_persistent());
-  }
-
-  ASSERT_EQ(setenv("FRIEDA_RESULT_CACHE_FILE", path.c_str(), 1), 0);
-  // First sweep over this result type: run() wires the process-global cache
-  // from the environment and loads the checkpoint before the first lookup.
-  std::atomic<int> executed{0};
-  SweepRunner<WireProbe> runner(SweepOptions{1});
-  std::vector<Job<WireProbe>> jobs;
-  jobs.push_back({"env-cell", [&executed]() -> WireProbe {
-                    ++executed;
-                    return WireProbe{999};
-                  },
-                  fp});
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].get().v, 7);  // served from the loaded checkpoint
-  EXPECT_TRUE(out[0].from_cache);
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(ResultCache<WireProbe>::global().persist_path(), path);
-
-  ASSERT_EQ(unsetenv("FRIEDA_RESULT_CACHE_FILE"), 0);
-  ResultCache<WireProbe>::global().set_persistence("", nullptr, nullptr);
-  ResultCache<WireProbe>::global().clear();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,15 +5,12 @@
 // through warm-up, eviction boundaries, and emptiness), the SloMonitor's
 // sample-and-hold breach intervals, the TelemetryProbe sampling contract,
 // and both backend integrations: sim-clock probing in core::FriedaRun
-// (deterministic, bit-identical timelines across repeated runs, sweep
-// thread counts, and the process backend) and wall-clock probing in
-// rt::RtEngine.
+// (deterministic, bit-identical timelines across repeated runs and sweep
+// thread counts) and wall-clock probing in rt::RtEngine.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -374,68 +371,36 @@ TEST(ProbedRun, FinalWindowedPercentileMatchesRunReportLatency) {
   }
 }
 
-TEST(ProbedRun, TimelineIsBitIdenticalAcrossRunsThreadsAndProcessBackend) {
-  const auto run_probed_csv = [](const std::string& dump_path) {
+TEST(ProbedRun, TimelineIsBitIdenticalAcrossRunsAndThreads) {
+  const auto run_probed_csv = [] {
     TelemetryOptions topt;
     topt.interval = 2.0;
     TelemetryProbe probe(topt);
     auto opt = probed_service_opt();
     opt.telemetry = &probe;
-    const auto report = workload::run_blast(PlacementStrategy::kRealTime, opt);
-    if (!dump_path.empty()) probe.write_timeline_csv(dump_path);
-    (void)report;
+    (void)workload::run_blast(PlacementStrategy::kRealTime, opt);
     return probe.timeline_csv();
   };
 
-  const std::string base = run_probed_csv("");
+  const std::string base = run_probed_csv();
   EXPECT_NE(base.find("queue_depth"), std::string::npos);
-  EXPECT_EQ(run_probed_csv(""), base);  // repeated run
+  EXPECT_EQ(run_probed_csv(), base);  // repeated run
 
-  // Through the sweep engine, thread backend, varying thread counts.  The
-  // probe lives inside the job closure (attached options are
-  // unfingerprintable, so the job always executes).
+  // Through the sweep engine at varying thread counts.  The probe lives
+  // inside the job closure (attached options are unfingerprintable, so the
+  // job always executes).
   for (const std::size_t threads : {1u, 3u}) {
     exp::SweepOptions sopt;
     sopt.threads = threads;
     exp::SweepRunner<std::string> runner(sopt);
-    runner.set_cache(nullptr);
     std::vector<exp::Job<std::string>> jobs;
-    jobs.push_back({"probed", [&] { return run_probed_csv(""); }});
-    jobs.push_back({"noise", [&] { return run_probed_csv(""); }});
+    jobs.push_back({"probed", [&] { return run_probed_csv(); }});
+    jobs.push_back({"noise", [&] { return run_probed_csv(); }});
     const auto out = runner.run(std::move(jobs));
     ASSERT_TRUE(out[0].ok());
     EXPECT_EQ(out[0].get(), base) << threads << " threads";
     EXPECT_EQ(out[1].get(), base);
   }
-
-  // Process backend: the job runs in a forked child, so the probe's series
-  // cannot cross the pipe — but a file written by the child can.
-  const std::string path =
-      (std::filesystem::path(testing::TempDir()) / "probed_timeline_child.csv").string();
-  std::remove(path.c_str());
-  exp::SweepOptions sopt;
-  sopt.backend = exp::SweepBackend::kProcess;
-  exp::SweepRunner<core::RunReport> runner(sopt);
-  runner.set_cache(nullptr);
-  std::vector<exp::Job<core::RunReport>> jobs;
-  jobs.push_back({"probed-child", [&] {
-                    TelemetryOptions topt;
-                    topt.interval = 2.0;
-                    TelemetryProbe probe(topt);
-                    auto opt = probed_service_opt();
-                    opt.telemetry = &probe;
-                    auto report = workload::run_blast(PlacementStrategy::kRealTime, opt);
-                    probe.write_timeline_csv(path);
-                    return report;
-                  }});
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "child did not write " << path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), base);
-  std::remove(path.c_str());
 }
 
 TEST(ProbedRun, ProbeDoesNotPerturbTheSimulationOrDisableExecution) {
