@@ -1,9 +1,8 @@
 // EXP-M0 — google-benchmark microbenchmarks of the substrate primitives:
 // event queue throughput, coroutine channel round trips, the max-min fair
 // solver, partition generation, a full small FRIEDA run per iteration,
-// sweep-engine throughput (1 thread vs. a pool) on a fixed scenario grid,
-// and steal-half dispatch on a deliberately skewed grid (pinned vs.
-// stealing).
+// and sweep-engine throughput (1 thread vs. a pool) on a fixed scenario
+// grid.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
@@ -254,47 +253,6 @@ void BM_SweepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepThroughput)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_SweepSteal(benchmark::State& state) {
-  // Steal-half dispatch on a deliberately skewed grid: four heavy cells
-  // (4x scale) land on workers 0-3 of an 8-thread pool with light cells
-  // queued behind them.  Arg(0) pins every worker to its dealt share — the
-  // light cells behind the heavy ones strand until their owner finishes —
-  // while Arg(1) lets idle workers steal the front half of the fattest
-  // backlog.  The delta is the stranded idle tail; on a single-core host
-  // both run the same total work and the numbers collapse (the committed
-  // BENCH_engine.json entry carries that caveat).
-  const bool steal = state.range(0) == 1;
-  workload::PaperScenarioOptions light;
-  light.scale = 0.05;
-  workload::PaperScenarioOptions heavy;
-  heavy.scale = 0.2;
-  const auto light_model =
-      std::make_shared<const workload::BlastModel>(workload::make_blast_model(light));
-  const auto heavy_model =
-      std::make_shared<const workload::BlastModel>(workload::make_blast_model(heavy));
-  for (auto _ : state) {
-    exp::Grid grid;
-    for (std::uint64_t s = 0; s < 4; ++s) {
-      auto opt = heavy;
-      opt.seed = exp::derive_seed(7, s);
-      grid.add_blast(core::PlacementStrategy::kRealTime, opt, heavy_model);
-    }
-    for (std::uint64_t s = 0; s < 28; ++s) {
-      auto opt = light;
-      opt.seed = exp::derive_seed(11, s);
-      grid.add_blast(core::PlacementStrategy::kRealTime, opt, light_model);
-    }
-    exp::SweepOptions sopt{8};
-    sopt.steal = steal;
-    sopt.memoize = false;
-    exp::SweepRunner<> runner(sopt);
-    const auto outcomes = runner.run(grid.take());
-    for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_SweepSteal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

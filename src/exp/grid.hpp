@@ -138,10 +138,6 @@ class ScenarioSweep {
   /// Dispatch order of the executed jobs (longest estimated cost first).
   const std::vector<std::size_t>& schedule() const { return runner_.schedule(); }
 
-  /// The runner's progress metrics (jobs-completed / cache-hit counters,
-  /// in-flight gauge, wall-per-job stats).
-  obs::MetricsRegistry& metrics() { return runner_.metrics(); }
-
   /// Attach a live progress reporter (opt-in; see obs/report_sink.hpp).
   void set_progress(obs::ProgressReporter* progress) { runner_.set_progress(progress); }
 

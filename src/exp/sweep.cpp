@@ -4,12 +4,10 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <memory>
 #include <numeric>
 #include <thread>
 
 #include "common/log.hpp"
-#include "runtime/mpmc_queue.hpp"
 
 namespace frieda::exp {
 
@@ -75,97 +73,34 @@ std::vector<std::size_t> longest_first(const std::vector<double>& costs) {
   return order;
 }
 
-std::vector<std::string> run_stealing(const std::vector<std::size_t>& indices,
-                                      std::size_t threads,
-                                      const std::function<void(std::size_t)>& body,
-                                      bool steal, std::uint64_t* steals_out) {
-  if (steals_out != nullptr) *steals_out = 0;
+std::vector<std::string> run_pool(const std::vector<std::size_t>& indices,
+                                  std::size_t threads,
+                                  const std::function<void(std::size_t)>& body) {
   std::vector<std::string> errors(indices.size());
   // Each position is claimed by exactly one thread, which is the only writer
   // of that errors slot; the joins below publish the writes to the caller.
-  const auto guarded = [&](std::size_t pos) {
-    try {
-      body(indices[pos]);
-    } catch (const std::exception& e) {
-      errors[pos] = e.what();
-    } catch (...) {
-      errors[pos] = "unknown exception";
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t pos = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (pos >= indices.size()) return;
+      try {
+        body(indices[pos]);
+      } catch (const std::exception& e) {
+        errors[pos] = e.what();
+      } catch (...) {
+        errors[pos] = "unknown exception";
+      }
     }
   };
-  if (indices.empty()) return errors;
   if (threads <= 1) {
-    for (std::size_t pos = 0; pos < indices.size(); ++pos) guarded(pos);
+    drain();
     return errors;
   }
-  // Positions are dealt round-robin in schedule order, so each worker's
-  // deque is cost-descending when the caller sorted `indices` longest-first
-  // (worker w owns positions w, w+T, w+2T, ...).  A worker drains its own
-  // deque front-first; once empty it steals the front half of the fattest
-  // victim's backlog (MpmcQueue::try_pop_half) — the victim's most expensive
-  // remaining work — so a skewed grid cannot strand idle workers on a few
-  // long deques.  Outcome slots are untouched by any of this: position ->
-  // job is fixed before dispatch.
-  std::vector<std::unique_ptr<rt::MpmcQueue<std::size_t>>> queues;
-  queues.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    queues.push_back(std::make_unique<rt::MpmcQueue<std::size_t>>());
-  }
-  for (std::size_t pos = 0; pos < indices.size(); ++pos) {
-    queues[pos % threads]->push(pos);
-  }
-  const std::size_t total = indices.size();
-  std::atomic<std::size_t> claimed{0};
-  std::atomic<std::uint64_t> steal_batches{0};
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      std::size_t pos = 0;
-      std::vector<std::size_t> loot;
-      if (!steal) {
-        // Static partition (bench/test hook): drain the dealt share, then
-        // idle — the stranding the steal loop below exists to prevent.
-        while (queues[t]->try_pop(pos) == rt::PopStatus::kItem) {
-          claimed.fetch_add(1, std::memory_order_relaxed);
-          guarded(pos);
-        }
-        return;
-      }
-      for (;;) {
-        if (queues[t]->try_pop(pos) == rt::PopStatus::kItem) {
-          claimed.fetch_add(1, std::memory_order_relaxed);
-          guarded(pos);
-          continue;
-        }
-        // Own deque empty.  Every position is eventually claimed exactly
-        // once, so claimed == total means no queue will ever refill.
-        if (claimed.load(std::memory_order_relaxed) >= total) break;
-        std::size_t victim = threads;
-        std::size_t backlog = 0;
-        for (std::size_t v = 0; v < threads; ++v) {
-          if (v == t) continue;
-          const std::size_t s = queues[v]->size();
-          if (s > backlog) {
-            backlog = s;
-            victim = v;
-          }
-        }
-        loot.clear();
-        if (victim < threads && queues[victim]->try_pop_half(loot) > 0) {
-          steal_batches.fetch_add(1, std::memory_order_relaxed);
-          for (std::size_t k = 1; k < loot.size(); ++k) queues[t]->push(loot[k]);
-          claimed.fetch_add(1, std::memory_order_relaxed);
-          guarded(loot.front());
-          continue;
-        }
-        // Nothing to steal right now but jobs are still in flight; the
-        // window closes as soon as the last position is claimed.
-        std::this_thread::yield();
-      }
-    });
-  }
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(drain);
   for (auto& t : pool) t.join();
-  if (steals_out != nullptr) *steals_out = steal_batches.load();
   return errors;
 }
 

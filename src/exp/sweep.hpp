@@ -4,17 +4,13 @@
 // The paper's entire evaluation — Table I, Figures 6–7, the eight ablations —
 // is a grid of *independent, deterministic* simulation runs.  A `SweepRunner`
 // executes such a grid on a fixed pool of worker threads and returns results
-// **in job order**, regardless of worker count, completion order, or steal
-// order, so a sweep's tables and CSVs are byte-identical to running the same
-// jobs sequentially.
+// **in job order**, regardless of worker count or completion order, so a
+// sweep's tables and CSVs are byte-identical to running the same jobs
+// sequentially.
 //
-// Work stealing (see docs/performance.md, "Thread pool and work stealing"):
-// jobs are dispatched through per-worker deques dealt in schedule order; an
-// idle worker steals the front half of the fattest victim's backlog
-// (`rt::MpmcQueue::try_pop_half`), so a skewed grid cannot strand workers
-// behind a few long deques.  Steal batches are counted in the `sweep.steals`
-// metric.  Stealing moves whole jobs before they start — outcome slots and
-// per-job seeds never change, only which worker runs what.
+// Dispatch (see docs/performance.md, "Thread pool"): every pool thread claims
+// the next job of the longest-first schedule from one shared atomic cursor —
+// greedy LPT, so no thread idles while an unclaimed job exists.
 //
 // Scheduling (see docs/performance.md, "Memoization and cost-aware
 // scheduling"):
@@ -26,10 +22,6 @@
 //     expensive cell at the tail of a skewed grid no longer idles the rest
 //     of the pool.  Outcome slots stay in job order; only the dispatch
 //     order changes, and `schedule()` exposes it for tests.
-//   * A `frieda_obs::MetricsRegistry` owned by the runner tracks progress
-//     (sweep.jobs_completed / sweep.cache_hits / sweep.runs_executed /
-//     sweep.steals counters, a sweep.in_flight gauge, sweep.wall_per_job_s
-//     stats).
 //   * An opt-in `obs::ProgressReporter` (set_progress, or the
 //     FRIEDA_SWEEP_PROGRESS environment variable) prints throttled live
 //     progress lines with a cost-weighted ETA; off by default, so driver
@@ -63,7 +55,6 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "frieda/report.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report_sink.hpp"
 
 namespace frieda::exp {
@@ -83,12 +74,6 @@ struct SweepOptions {
   /// Opt-out for memoization: when false in-batch duplicates are not
   /// collapsed and every job executes.
   bool memoize = true;
-
-  /// Opt-out for steal-half dispatch (benchmarks and tests only): when
-  /// false each worker runs exactly its dealt share of the schedule and
-  /// idles when it's done — the stranding behavior stealing eliminates.
-  /// Results are identical either way; only the idle tail differs.
-  bool steal = true;
 };
 
 namespace detail {
@@ -103,18 +88,15 @@ constexpr long kMaxSweepThreads = 4096;
 /// and logs.
 std::size_t parse_threads_env(const char* text);
 
-/// Run `body(i)` for every i in `indices` on `threads` pool workers with
-/// steal-half dispatch: positions are dealt round-robin in `indices` order
-/// onto per-worker deques, and an idle worker steals the front half of the
-/// fattest victim's backlog (disabled when `steal` is false — static
-/// partition).  Returns one error string per *position in `indices`*
-/// (empty = the call returned normally); a throwing body never takes down
-/// the pool or other indices.  `steals_out`, when non-null, receives the
-/// number of successful steal batches.
-std::vector<std::string> run_stealing(const std::vector<std::size_t>& indices,
-                                      std::size_t threads,
-                                      const std::function<void(std::size_t)>& body,
-                                      bool steal, std::uint64_t* steals_out);
+/// Run `body(i)` for every i in `indices` on `threads` pool threads.  Each
+/// thread claims the next position in `indices` order from one shared
+/// cursor, so positions start in order and no thread idles while one is
+/// unclaimed.  Returns one error string per *position in `indices`* (empty =
+/// the call returned normally); a throwing body never takes down the pool or
+/// other indices.
+std::vector<std::string> run_pool(const std::vector<std::size_t>& indices,
+                                  std::size_t threads,
+                                  const std::function<void(std::size_t)>& body);
 
 /// Resolve SweepOptions::threads against the environment, the hardware and
 /// the job count (always >= 1 for a non-empty batch).  Invalid
@@ -187,7 +169,6 @@ class SweepRunner {
     for (std::size_t i = 0; i < n; ++i) out[i].tag = jobs[i].tag;
     runs_requested_ = n;
     cache_hits_ = 0;
-    steals_ = 0;
     schedule_.clear();
 
     // Phase 1 — memoization: collapse in-batch duplicates onto one primary,
@@ -221,13 +202,6 @@ class SweepRunner {
     }
     threads_used_ = detail::resolve_threads(opt_.threads, schedule_.size());
 
-    auto& completed = metrics_.counter("sweep.jobs_completed");
-    auto& hits_ctr = metrics_.counter("sweep.cache_hits");
-    auto& executed_ctr = metrics_.counter("sweep.runs_executed");
-    auto& steals_ctr = metrics_.counter("sweep.steals");
-    auto& in_flight = metrics_.gauge("sweep.in_flight");
-    auto& wall_per_job = metrics_.stats("sweep.wall_per_job_s");
-
     // Live progress: an attached reporter wins; otherwise the
     // FRIEDA_SWEEP_PROGRESS environment variable can enable one for this
     // run.  Both off (the default) means zero output.
@@ -246,62 +220,46 @@ class SweepRunner {
     const std::size_t served = n - schedule_.size();  // in-batch twins
     if (progress != nullptr) progress->begin(n, batch_cost, served);
 
-    std::size_t done_jobs = 0;  // guarded by metrics_mutex_
-    double done_cost = 0.0;     // guarded by metrics_mutex_
+    // Progress tallies shared by the pool threads, all guarded by `mutex`.
+    std::mutex mutex;
+    std::size_t done_jobs = 0;
+    std::size_t in_flight = 0;
+    double done_cost = 0.0;
 
     const auto t0 = std::chrono::steady_clock::now();
     const std::function<void(std::size_t)> body = [&](std::size_t i) {
-      const auto j0 = std::chrono::steady_clock::now();
       {
-        std::lock_guard<std::mutex> lock(metrics_mutex_);
-        in_flight.set(in_flight.value() + 1);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++in_flight;
       }
-      // Instruments are single-writer by contract; pool threads share these,
-      // so every update goes through metrics_mutex_ — including the
-      // completion bookkeeping, which must also run when fn() throws.
-      struct Done {
-        SweepRunner* self;
-        obs::Gauge& in_flight;
-        obs::Counter& completed;
-        RunningStats& wall;
-        std::chrono::steady_clock::time_point start;
-        std::chrono::steady_clock::time_point batch_start;
-        obs::ProgressReporter* progress;
-        double cost;
-        std::size_t served;
-        std::size_t* done_jobs;
-        double* done_cost;
-        ~Done() {
-          const double secs =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                  .count();
-          std::size_t completed_now = 0;
-          std::size_t flying = 0;
-          double cost_now = 0.0;
-          {
-            std::lock_guard<std::mutex> lock(self->metrics_mutex_);
-            in_flight.set(in_flight.value() - 1);
-            completed.inc();
-            wall.add(secs);
-            *done_jobs += 1;
-            *done_cost += cost;
-            completed_now = served + *done_jobs;
-            flying = static_cast<std::size_t>(in_flight.value());
-            cost_now = *done_cost;
-          }
-          if (progress != nullptr) {
-            const double elapsed =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start)
-                    .count();
-            progress->update(completed_now, flying, cost_now, elapsed);
-          }
+      const auto finish = [&] {
+        std::size_t completed_now = 0;
+        std::size_t flying = 0;
+        double cost_now = 0.0;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          --in_flight;
+          ++done_jobs;
+          done_cost += jobs[i].cost;
+          completed_now = served + done_jobs;
+          flying = in_flight;
+          cost_now = done_cost;
         }
-      } done{this,     in_flight,    completed, wall_per_job, j0,        t0,
-             progress, jobs[i].cost, served,    &done_jobs,   &done_cost};
-      out[i].value.emplace(jobs[i].fn());
+        if (progress != nullptr) {
+          const double elapsed =
+              std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+          progress->update(completed_now, flying, cost_now, elapsed);
+        }
+      };
+      try {
+        out[i].value.emplace(jobs[i].fn());
+      } catch (...) {
+        finish();  // a throwing job still counts as done
+        throw;
+      }
+      finish();
     };
-    auto errors =
-        detail::run_stealing(schedule_, threads_used_, body, opt_.steal, &steals_);
+    auto errors = detail::run_pool(schedule_, threads_used_, body);
     wall_seconds_ = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     for (std::size_t p = 0; p < schedule_.size(); ++p) {
       out[schedule_[p]].error = std::move(errors[p]);
@@ -316,13 +274,6 @@ class SweepRunner {
       out[i].from_cache = true;
     }
     runs_executed_ = execute.size();
-
-    {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      hits_ctr.inc(cache_hits_);
-      executed_ctr.inc(runs_executed_);
-      steals_ctr.inc(steals_);
-    }
     if (progress != nullptr) progress->finish(n, n, wall_seconds_);
     return out;
   }
@@ -345,21 +296,10 @@ class SweepRunner {
   /// collapsed onto an executing twin.
   std::size_t cache_hits() const { return cache_hits_; }
 
-  /// Steal batches of the last run(): times an idle worker took the front
-  /// half of another worker's backlog.  0 with opt.steal == false, with a
-  /// single worker, and for perfectly balanced dispatch.
-  std::uint64_t steals() const { return steals_; }
-
   /// Dispatch order of the last run(): the executed jobs' ids, longest
   /// estimated cost first (ties in submission order).  Exposed so tests can
   /// assert the schedule decision without timing assumptions.
   const std::vector<std::size_t>& schedule() const { return schedule_; }
-
-  /// Progress metrics owned by this runner; counters accumulate across
-  /// run() calls.  Safe to read between runs; during a run, updates are
-  /// serialized behind an internal mutex.
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   SweepOptions opt_;
@@ -369,10 +309,7 @@ class SweepRunner {
   std::size_t runs_requested_ = 0;
   std::size_t runs_executed_ = 0;
   std::size_t cache_hits_ = 0;
-  std::uint64_t steals_ = 0;
   std::vector<std::size_t> schedule_;
-  obs::MetricsRegistry metrics_;
-  std::mutex metrics_mutex_;
 };
 
 }  // namespace frieda::exp

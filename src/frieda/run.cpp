@@ -23,6 +23,21 @@ auto find_pin(Pins& pins, storage::FileId file) {
 }
 }  // namespace
 
+MasterPolicy master_policy(const RunOptions& options) {
+  const bool queue_fed = options.strategy == PlacementStrategy::kRealTime ||
+                         options.strategy == PlacementStrategy::kRemoteRead ||
+                         options.strategy == PlacementStrategy::kSharedVolume;
+  MasterPolicy policy;
+  policy.credits = 1 + static_cast<std::size_t>(std::max(options.prefetch, 0));
+  policy.requeue = options.requeue_on_failure;
+  policy.max_attempts = options.max_attempts;
+  // Pre-partitioned without requeue: a worker's own share is all it runs.
+  policy.release_idle = !options.requeue_on_failure && !queue_fed;
+  policy.locality_aware = options.locality_aware;
+  policy.locality_scan_depth = options.locality_scan_depth;
+  return policy;
+}
+
 FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalog& catalog,
                      std::vector<WorkUnit> units, const AppModel& app, CommandTemplate command,
                      RunOptions options)
@@ -33,17 +48,15 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
       app_(app),
       command_(std::move(command)),
       options_(std::move(options)),
-      initial_vms_(cluster.all_vms()) {
+      initial_vms_(cluster.all_vms()),
+      core_(units_, master_policy(options_), master_hooks()) {
   FRIEDA_CHECK(!units_.empty(), "run needs at least one work unit");
   FRIEDA_CHECK(!initial_vms_.empty(), "run needs at least one provisioned VM");
-  unit_state_.resize(units_.size());
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    FRIEDA_CHECK(units_[i].id == i, "work unit ids must be dense and ordered");
-    FRIEDA_CHECK(command_.accepts(units_[i]),
+  for (const auto& u : units_) {
+    FRIEDA_CHECK(command_.accepts(u),
                  "command template arity " << command_.input_arity()
-                                           << " does not match unit " << i << " with "
-                                           << units_[i].inputs.size() << " inputs");
-    unit_state_[i].unit = units_[i].id;
+                                           << " does not match unit " << u.id << " with "
+                                           << u.inputs.size() << " inputs");
   }
 
   if (open_loop()) {
@@ -73,7 +86,6 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
   unit_pin_vm_.assign(units_.size(), kNoVm);
   inbox_ = std::make_unique<sim::Channel<InboxMessage>>(sim_);
   events_ = std::make_unique<sim::Channel<ControllerEvent>>(sim_);
-  master_done_ = std::make_unique<sim::Signal>(sim_);
 
   // The catalog's files live in the source node's input directory unless
   // the caller says otherwise (workflow stages seed replicas instead).
@@ -130,40 +142,6 @@ void FriedaRun::mark_pending(WorkUnitId unit) {
   if (tracer_) trace_pending_[unit] = sim_.now();
 }
 
-void FriedaRun::trace_dispatched(WorkUnitId unit, WorkerId worker) {
-  if (!tracer_) return;
-  const auto& rec = unit_state_[unit];
-  obs::TraceEvent ev;
-  ev.name = "pending unit " + std::to_string(unit);
-  ev.cat = "pending";
-  ev.process = obs::kUnitTrack;
-  ev.track = static_cast<std::uint32_t>(unit);
-  ev.start = trace_pending_[unit];
-  ev.end = sim_.now();
-  ev.args = {{"attempt", std::to_string(rec.attempts)},
-             {"worker", std::to_string(worker)},
-             {"vm", std::to_string(workers_[worker]->vm)}};
-  tracer_->span(std::move(ev));
-}
-
-void FriedaRun::trace_terminal(const UnitRecord& rec) {
-  if (!tracer_) return;
-  obs::TraceEvent ev;
-  ev.name = "unit " + std::to_string(rec.unit);
-  ev.cat = "unit";
-  ev.process = obs::kUnitTrack;
-  ev.track = static_cast<std::uint32_t>(rec.unit);
-  ev.start = trace_born_[rec.unit];
-  ev.end = rec.finished;
-  ev.args = {{"status", to_string(rec.status)},
-             {"attempts", std::to_string(rec.attempts)}};
-  if (rec.attempts > 0) {
-    ev.args.push_back({"worker", std::to_string(rec.worker)});
-    ev.args.push_back({"vm", std::to_string(workers_[rec.worker]->vm)});
-  }
-  tracer_->span(std::move(ev));
-}
-
 void FriedaRun::trace_instant(const char* name, const char* cat,
                               std::vector<std::pair<const char*, std::string>> args) {
   if (!tracer_) return;
@@ -175,6 +153,91 @@ void FriedaRun::trace_instant(const char* name, const char* cat,
   ev.args.reserve(args.size());
   for (auto& [key, value] : args) ev.args.push_back({key, std::move(value)});
   tracer_->instant(std::move(ev));
+}
+
+// ---------------------------------------------------------------------------
+// The master core's effects on this run
+// ---------------------------------------------------------------------------
+
+MasterHooks FriedaRun::master_hooks() {
+  MasterHooks hooks;
+  hooks.dispatch = [this](WorkerId worker, WorkUnitId unit) {
+    handed_[unit] = 0;
+    if (tracer_) {  // the pending span this dispatch ends
+      obs::TraceEvent ev;
+      ev.name = "pending unit " + std::to_string(unit);
+      ev.cat = "pending";
+      ev.process = obs::kUnitTrack;
+      ev.track = static_cast<std::uint32_t>(unit);
+      ev.start = trace_pending_[unit];
+      ev.end = sim_.now();
+      ev.args = {{"attempt", std::to_string(core_.record(unit).attempts)},
+                 {"worker", std::to_string(worker)},
+                 {"vm", std::to_string(workers_[worker]->vm)}};
+      tracer_->span(std::move(ev));
+    }
+    sim_.spawn(dispatch(worker, unit), "dispatch");
+  };
+  hooks.release = [this](WorkerId worker) {
+    auto& ws = *workers_[worker];
+    ws.inbox->try_send(NoMoreWork{});
+    if (!core_.finished()) maybe_terminate_vm(ws.vm);
+  };
+  hooks.terminal = [this](const UnitRecord& rec) {
+    unpin_unit(rec.unit);
+    if (open_loop() && rec.status == UnitStatus::kCompleted) {
+      latency_.add(rec.finished - rec.arrival);  // sojourn: arrival -> completion
+      if (telemetry_ != nullptr) {
+        telemetry_->observe_latency(rec.finished, rec.finished - rec.arrival);
+      }
+    }
+    if (tracer_) {  // the unit's lifecycle span
+      obs::TraceEvent ev;
+      ev.name = "unit " + std::to_string(rec.unit);
+      ev.cat = "unit";
+      ev.process = obs::kUnitTrack;
+      ev.track = static_cast<std::uint32_t>(rec.unit);
+      ev.start = trace_born_[rec.unit];
+      ev.end = rec.finished;
+      ev.args = {{"status", to_string(rec.status)},
+                 {"attempts", std::to_string(rec.attempts)}};
+      if (rec.attempts > 0) {
+        ev.args.push_back({"worker", std::to_string(rec.worker)});
+        ev.args.push_back({"vm", std::to_string(workers_[rec.worker]->vm)});
+      }
+      tracer_->span(std::move(ev));
+    }
+  };
+  hooks.requeued = [this](WorkUnitId unit, Requeue why) {
+    unpin_unit(unit);
+    if (why != Requeue::kMoved && run_metrics_.requeues) run_metrics_.requeues->inc();
+    mark_pending(unit);
+    if (why == Requeue::kRetry && tracer_) {
+      trace_instant("requeue", "control",
+                    {{"unit", std::to_string(unit)},
+                     {"attempt", std::to_string(core_.record(unit).attempts)}});
+    }
+  };
+  hooks.isolated = [this](WorkerId worker) {
+    if (run_metrics_.isolations) run_metrics_.isolations->inc();
+    if (tracer_) {
+      trace_instant("isolate-worker", "protocol",
+                    {{"worker", std::to_string(worker)},
+                     {"vm", std::to_string(workers_[worker]->vm)}});
+    }
+    workers_[worker]->inbox->close();  // a blocked worker wakes with nullopt and exits
+  };
+  hooks.finished = [this] {
+    end_time_ = sim_.now();
+    for (auto& ws : workers_) ws->inbox->close();
+    events_->close();
+  };
+  hooks.inputs_local = [this](WorkerId worker, WorkUnitId unit) {
+    const auto node = cluster_.vm(workers_[worker]->vm).node();
+    return std::all_of(units_[unit].inputs.begin(), units_[unit].inputs.end(),
+                       [&](storage::FileId f) { return replicas_.has(f, node); });
+  };
+  return hooks;
 }
 
 void FriedaRun::pre_place_all_inputs(const std::vector<cluster::VmId>& vms) {
@@ -261,8 +324,7 @@ cluster::VmId FriedaRun::add_vm(const cluster::InstanceType& type) {
 
 void FriedaRun::crash_master(SimTime recovery_delay) {
   FRIEDA_CHECK(recovery_delay >= 0.0, "recovery delay must be >= 0");
-  if (finished_ || master_down_) return;
-  ++master_crashes_;
+  if (core_.finished() || master_down_) return;
   if (run_metrics_.master_crashes) run_metrics_.master_crashes->inc();
   if (tracer_) {
     trace_instant("master-crash", "protocol",
@@ -279,34 +341,18 @@ void FriedaRun::crash_master(SimTime recovery_delay) {
 }
 
 void FriedaRun::recover_master() {
-  if (finished_) return;
+  if (core_.finished()) return;
   master_down_ = false;
   // Resync from the controller's view: assignments that never reached a
   // worker were lost with the master and go back to the queue; everything a
   // worker already holds keeps running (the planes are decoupled).
-  for (auto& rec : unit_state_) {
-    if (rec.status == UnitStatus::kInFlight && !handed_[rec.unit]) {
-      force_requeue(rec.unit);
-    }
+  for (const auto& rec : core_.records()) {
+    if (rec.status == UnitStatus::kInFlight && !handed_[rec.unit]) core_.retract(rec.unit);
   }
   if (tracer_) trace_instant("master-recover", "protocol");
   FLOG(kInfo, "controller", "master recovered at t=" << sim_.now());
   master_recovered_->trigger();
-  if (serving_) top_up_all();
-}
-
-void FriedaRun::force_requeue(WorkUnitId unit) {
-  auto& rec = unit_state_[unit];
-  if (rec.status == UnitStatus::kInFlight) {
-    auto& ws = *workers_[rec.worker];
-    FRIEDA_CHECK(ws.unacked > 0, "in-flight accounting underflow");
-    --ws.unacked;
-  }
-  unpin_unit(unit);
-  rec.status = UnitStatus::kPending;
-  queue_.push_back(unit);
-  if (run_metrics_.requeues) run_metrics_.requeues->inc();
-  mark_pending(unit);
+  if (serving_) core_.top_up_all(sim_.now());
 }
 
 void FriedaRun::remove_vm(cluster::VmId vm) { events_->try_send(EvRemoveVm{vm}); }
@@ -322,10 +368,6 @@ sim::Signal& FriedaRun::node_ready(cluster::VmId vm) {
   return *slot;
 }
 
-bool FriedaRun::worker_live(const WorkerCtx& ws) const {
-  return !ws.isolated && !ws.finished && !ws.draining;
-}
-
 // ---------------------------------------------------------------------------
 // Controller (control plane)
 // ---------------------------------------------------------------------------
@@ -334,7 +376,7 @@ void FriedaRun::fork_workers_on(cluster::VmId vm, std::vector<WorkerId>& out) {
   const unsigned n = workers_per_vm(vm);
   for (unsigned slot = 0; slot < n; ++slot) {
     auto ctx = std::make_unique<WorkerCtx>();
-    ctx->id = static_cast<WorkerId>(workers_.size());
+    ctx->id = core_.add_worker();
     ctx->vm = vm;
     ctx->slot = slot;
     ctx->inbox = std::make_unique<sim::Channel<MasterMessage>>(sim_);
@@ -374,7 +416,7 @@ sim::Task<> FriedaRun::controller_main() {
     if (const auto* failed = std::get_if<EvVmFailed>(&*ev)) {
       co_await sim_.delay(options_.control_latency);
       for (const auto& ws : workers_) {
-        if (ws->vm == failed->vm && !ws->isolated) {
+        if (ws->vm == failed->vm && !core_.worker(ws->id).isolated) {
           InboxMessage isolate = IsolateWorker{ws->id};
           co_await inbox_->send(std::move(isolate));
         }
@@ -391,7 +433,7 @@ sim::Task<> FriedaRun::controller_main() {
     } else if (const auto* remove = std::get_if<EvRemoveVm>(&*ev)) {
       co_await sim_.delay(options_.control_latency);
       for (const auto& ws : workers_) {
-        if (ws->vm == remove->vm && worker_live(*ws)) {
+        if (ws->vm == remove->vm && core_.worker(ws->id).live()) {
           InboxMessage drain = DrainWorker{ws->id};
           co_await inbox_->send(std::move(drain));
         }
@@ -418,9 +460,7 @@ sim::Task<> FriedaRun::master_main() {
 
   if (workers_.empty()) {
     // Every initial VM failed before booting: nothing can run.
-    for (auto& rec : unit_state_) {
-      if (rec.status == UnitStatus::kPending) unit_terminal(rec.unit, UnitStatus::kUnprocessed);
-    }
+    core_.check_progress(sim_.now());
     co_return;
   }
 
@@ -432,26 +472,26 @@ sim::Task<> FriedaRun::master_main() {
 
   // Open-loop service mode: the arrival process feeds the queue from here
   // on, and the elasticity policy watches its depth.
-  if (open_loop() && !finished_) {
+  if (open_loop() && !core_.finished()) {
     sim_.spawn(arrival_pump(), "arrival-pump");
     if (options_.elastic_policy.enabled) sim_.spawn(elastic_main(), "elastic-policy");
   }
   // Live telemetry samples from serving start (both modes): the probe's
   // epoch began at run(), but gauges only move once the farm is live.
-  if (telemetry_ != nullptr && !finished_) sim_.spawn(telemetry_main(), "telemetry-probe");
+  if (telemetry_ != nullptr && !core_.finished()) sim_.spawn(telemetry_main(), "telemetry-probe");
 
   // Kick off the farm: commit assignments up to each worker's credit limit.
-  top_up_all();
+  core_.top_up_all(sim_.now());
 
   // Phase 3: task farming (Fig. 3/4 dispatch loop).
-  while (!finished_) {
+  while (!core_.finished()) {
     auto msg = co_await inbox_->recv();
     if (!msg) break;
     // During a master outage messages buffer (workers reconnect and resend
     // is unnecessary — the channel is the reconnection buffer); they are
     // processed in order once the controller restarts the master.
     while (master_down_) co_await master_recovered_->wait();
-    if (finished_) break;
+    if (core_.finished()) break;
     if (const auto* ctrl = std::get_if<ControlMessage>(&*msg)) {
       handle_control(*ctrl);
     } else {
@@ -464,8 +504,6 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
   if (const auto* start = std::get_if<StartMaster>(&msg)) {
     FRIEDA_CHECK(start->strategy == options_.strategy, "strategy mismatch");
     if (tracer_) trace_instant("start-master", "protocol");
-  } else if (std::get_if<SetPartitionInfo>(&msg)) {
-    // Units were validated in the constructor; nothing further to do.
   } else if (std::get_if<ForkWorkers>(&msg)) {
     initialized_ = true;
     if (tracer_) {
@@ -473,7 +511,7 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
                     {{"workers", std::to_string(workers_.size())}});
     }
   } else if (const auto* iso = std::get_if<IsolateWorker>(&msg)) {
-    isolate_worker(iso->worker);
+    core_.isolate(iso->worker, sim_.now());
   } else if (const auto* add = std::get_if<AddWorkers>(&msg)) {
     if (tracer_) {
       trace_instant("add-workers", "protocol",
@@ -486,124 +524,45 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
       }
     }
   } else if (const auto* drain = std::get_if<DrainWorker>(&msg)) {
-    drain_worker(drain->worker);
+    const auto& state = core_.worker(drain->worker);
+    const auto vm = workers_[drain->worker]->vm;
+    if (state.isolated) return;
+    const bool released = state.finished;  // done with its share already
+    if (!released && tracer_) {
+      trace_instant("drain-worker", "protocol",
+                    {{"worker", std::to_string(drain->worker)}, {"vm", std::to_string(vm)}});
+    }
+    core_.drain(drain->worker, sim_.now(), /*top_up=*/serving_);
+    if (released) maybe_terminate_vm(vm);  // only the teardown remains
   }
 }
 
 void FriedaRun::handle_worker_msg(const WorkerMessage& msg) {
-  if (const auto* reg = std::get_if<RegisterWorker>(&msg)) {
-    workers_[reg->worker]->registered = true;
-  } else if (const auto* req = std::get_if<RequestWork>(&msg)) {
+  if (const auto* req = std::get_if<RequestWork>(&msg)) {
     // The worker's readiness announcement (Fig. 4 "request data").  Before
     // serving starts it is a no-op; master_main tops everyone up after
     // staging completes.
-    if (serving_) top_up(req->worker);
+    if (serving_) core_.top_up(req->worker, sim_.now());
   } else if (const auto* status = std::get_if<ExecStatus>(&msg)) {
     auto& ws = *workers_[status->worker];
-    auto& rec = unit_state_[status->unit];
+    auto& rec = core_.record(status->unit);
     ws.busy_seconds += status->exec_seconds;
+    if (status->ok) ++ws.completed;
     rec.exec_seconds = status->exec_seconds;
     rec.transfer_seconds += status->transfer_seconds;  // remote-read pulls
-    if (status->ok) {
-      ws.completed += 1;
-      unit_terminal(status->unit, UnitStatus::kCompleted);
-    } else {
-      unit_not_completed(status->unit);
-    }
-    if (!finished_) top_up(status->worker);
-  }
-}
-
-std::optional<WorkUnitId> FriedaRun::next_unit_for(WorkerCtx& ws) {
-  // Pre-partitioned strategies serve the worker's own queue first; the
-  // shared queue carries real-time dispatch and requeued units.
-  while (!ws.preassigned.empty()) {
-    const auto u = ws.preassigned.front();
-    ws.preassigned.pop_front();
-    if (unit_state_[u].status == UnitStatus::kPending) return u;
-  }
-  if (options_.locality_aware && !queue_.empty()) {
-    // Topology-aware dispatch: scan a bounded prefix of the queue for a unit
-    // whose inputs are already resident on this worker's node, avoiding WAN
-    // traffic in federated deployments.
-    const auto node = cluster_.vm(ws.vm).node();
-    const std::size_t depth = std::min(options_.locality_scan_depth, queue_.size());
-    for (std::size_t i = 0; i < depth; ++i) {
-      const auto u = queue_[i];
-      if (unit_state_[u].status != UnitStatus::kPending) continue;
-      const bool local =
-          std::all_of(units_[u].inputs.begin(), units_[u].inputs.end(),
-                      [&](storage::FileId f) { return replicas_.has(f, node); });
-      if (local) {
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        return u;
-      }
-    }
-  }
-  while (!queue_.empty()) {
-    const auto u = queue_.front();
-    queue_.pop_front();
-    if (unit_state_[u].status == UnitStatus::kPending) return u;
-  }
-  return std::nullopt;
-}
-
-void FriedaRun::top_up(WorkerId worker) {
-  if (finished_) return;
-  auto& ws = *workers_[worker];
-  if (ws.isolated || ws.finished) return;
-  if (ws.draining) {
-    if (ws.unacked == 0) {
-      ws.inbox->try_send(NoMoreWork{});
-      ws.finished = true;
-      maybe_terminate_vm(ws.vm);
-      check_progress_possible();
-    }
-    return;
-  }
-  // Credit-based farming: one executing assignment plus `prefetch` staged
-  // ahead, so real-time transfers overlap the worker's current execution
-  // ("the phases are interleaved", Section II.C).
-  const std::size_t credits = 1 + static_cast<std::size_t>(std::max(options_.prefetch, 0));
-  while (ws.unacked < credits) {
-    const auto unit = next_unit_for(ws);
-    if (!unit) break;
-    auto& rec = unit_state_[*unit];
-    rec.status = UnitStatus::kInFlight;
-    rec.worker = worker;
-    rec.attempts += 1;
-    rec.dispatched = sim_.now();
-    handed_[*unit] = 0;
-    ++ws.unacked;
-    trace_dispatched(*unit, worker);
-    sim_.spawn(dispatch(worker, *unit), "dispatch");
-  }
-  if (ws.unacked > 0 || all_terminal()) return;
-
-  const bool worker_exhausted = !options_.requeue_on_failure &&
-                                options_.strategy != PlacementStrategy::kRealTime &&
-                                !streams_inputs();
-  if (worker_exhausted) {
-    // Pre-partitioned, no requeue: this worker's share is done.
-    ws.inbox->try_send(NoMoreWork{});
-    ws.finished = true;
-    maybe_terminate_vm(ws.vm);
-    check_progress_possible();
-  }
-  // Otherwise the worker idles; a requeue tops it up again, and finish_all
-  // releases it when every unit is terminal.
-}
-
-void FriedaRun::top_up_all() {
-  for (const auto& ws : workers_) {
-    if (finished_) return;
-    top_up(ws->id);
+    core_.on_status(status->worker, status->unit, status->ok, sim_.now());
   }
 }
 
 sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   auto& ws = *workers_[worker];
-  auto& rec = unit_state_[unit];
+  auto& rec = core_.record(unit);
+  // The core's worker table may grow while this coroutine waits, so its
+  // entry is looked up afresh after every suspension.
+  const auto isolated = [&] { return core_.worker(worker).isolated; };
+  const auto still_ours = [&] {
+    return rec.status == UnitStatus::kInFlight && rec.worker == worker;
+  };
   // A master crash abandons this dispatch: the epoch changes and the
   // recovery path requeues the unit, so abandoned coroutines just return.
   const std::uint64_t epoch = master_epoch_;
@@ -611,10 +570,8 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   if (epoch != master_epoch_) co_return;
   co_await node_ready(ws.vm).wait();
   if (epoch != master_epoch_) co_return;
-  if (ws.isolated || finished_) {
-    if (rec.status == UnitStatus::kInFlight && rec.worker == worker) {
-      unit_not_completed(unit);
-    }
+  if (isolated() || core_.finished()) {
+    if (still_ours()) core_.not_completed(unit, sim_.now());
     co_return;
   }
 
@@ -634,13 +591,14 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
       // they do not count — that would be a mutual-wait livelock.
       int retries = 0;
       while (!reserve_disk(ws.vm, catalog_.info(f).size, allow_evict)) {
-        const bool other_executing = std::any_of(
-            unit_state_.begin(), unit_state_.end(), [&](const UnitRecord& other) {
+        const auto& records = core_.records();
+        const bool other_executing =
+            std::any_of(records.begin(), records.end(), [&](const UnitRecord& other) {
               return other.unit != unit && other.status == UnitStatus::kInFlight &&
                      handed_[other.unit] && workers_[other.worker]->vm == ws.vm;
             });
         const bool other_staging = vm_ctx(ws.vm).staging_active > 0;
-        if ((!other_executing && !other_staging) || ws.isolated || finished_ ||
+        if ((!other_executing && !other_staging) || isolated() || core_.finished() ||
             ++retries > 10000) {
           FLOG(kWarn, "master", "vm " << ws.vm << " local disk full; cannot stage unit "
                                       << unit);
@@ -660,25 +618,10 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
         break;
       }
       ++vm_ctx(ws.vm).staging_active;
-      const auto r = co_await cluster_.network().transfer(
-          *src, node, catalog_.info(f).size, options_.transfer_streams);
+      const auto r = co_await transfer_file(
+          *src, node, catalog_.info(f).size, f,
+          {"input:", "stage ", obs::kWorkerTrack, worker, "unit", unit});
       --vm_ctx(ws.vm).staging_active;
-      timeline_.record(ActivityKind::kTransfer, r.started, r.finished,
-                       "input:" + catalog_.info(f).name);
-      if (tracer_) {
-        obs::TraceEvent ev;
-        ev.name = "stage " + catalog_.info(f).name;
-        ev.cat = "staging";
-        ev.process = obs::kWorkerTrack;
-        ev.track = static_cast<std::uint32_t>(worker);
-        ev.start = r.started;
-        ev.end = r.finished;
-        ev.args = {{"unit", std::to_string(unit)},
-                   {"file", catalog_.info(f).name},
-                   {"bytes", std::to_string(r.transferred)},
-                   {"ok", r.ok() ? "1" : "0"}};
-        tracer_->span(std::move(ev));
-      }
       transfer_s += r.duration();
       if (!r.ok()) {
         if (options_.track_disk_capacity) {
@@ -688,15 +631,15 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
         break;
       }
       replicas_.add(f, node);
-      note_staged(ws.vm, f);
+      vm_ctx(ws.vm).staged_order.push_back(f);
       if (epoch != master_epoch_) co_return;  // bytes kept; unit was requeued
     }
   }
   rec.transfer_seconds += transfer_s;
-  if (!ok || ws.isolated) {
-    if (rec.status == UnitStatus::kInFlight && rec.worker == worker) {
-      unit_not_completed(unit);
-      if (!finished_) top_up(worker);  // keep draining the queue
+  if (!ok || isolated()) {
+    if (still_ours()) {
+      core_.not_completed(unit, sim_.now());
+      core_.top_up(worker, sim_.now());  // keep draining the queue
     }
     co_return;
   }
@@ -709,126 +652,36 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   handed_[unit] = 1;  // from here on the assignment survives a master crash
   MasterMessage assignment = std::move(work);
   const bool sent = co_await ws.inbox->send(std::move(assignment));
-  if (!sent && rec.status == UnitStatus::kInFlight && rec.worker == worker) {
-    unit_not_completed(unit);
-    if (!finished_) top_up(worker);
+  if (!sent && still_ours()) {
+    core_.not_completed(unit, sim_.now());
+    core_.top_up(worker, sim_.now());
   }
 }
 
-void FriedaRun::unit_terminal(WorkUnitId unit, UnitStatus status) {
-  auto& rec = unit_state_[unit];
-  FRIEDA_CHECK(rec.status != UnitStatus::kCompleted && rec.status != UnitStatus::kFailed &&
-                   rec.status != UnitStatus::kUnprocessed,
-               "unit " << unit << " reached a terminal state twice");
-  if (rec.status == UnitStatus::kInFlight) {
-    auto& ws = *workers_[rec.worker];
-    FRIEDA_CHECK(ws.unacked > 0, "in-flight accounting underflow");
-    --ws.unacked;
-  }
-  unpin_unit(unit);
-  rec.status = status;
-  rec.finished = sim_.now();
-  if (open_loop() && status == UnitStatus::kCompleted) {
-    latency_.add(rec.finished - rec.arrival);  // sojourn: arrival -> completion
-    if (telemetry_ != nullptr) {
-      telemetry_->observe_latency(rec.finished, rec.finished - rec.arrival);
-    }
-  }
-  trace_terminal(rec);
-  ++terminal_count_;
-  if (all_terminal()) finish_all();
-}
-
-void FriedaRun::unit_not_completed(WorkUnitId unit) {
-  auto& rec = unit_state_[unit];
-  const bool any_live = std::any_of(workers_.begin(), workers_.end(),
-                                    [&](const auto& ws) { return worker_live(*ws); });
-  if (options_.requeue_on_failure && rec.attempts < options_.max_attempts && any_live) {
-    if (rec.status == UnitStatus::kInFlight) {
-      auto& ws = *workers_[rec.worker];
-      FRIEDA_CHECK(ws.unacked > 0, "in-flight accounting underflow");
-      --ws.unacked;
-    }
-    unpin_unit(unit);
-    rec.status = UnitStatus::kPending;
-    queue_.push_back(unit);
-    if (run_metrics_.requeues) run_metrics_.requeues->inc();
-    mark_pending(unit);
-    if (tracer_) {
-      trace_instant("requeue", "control",
-                    {{"unit", std::to_string(unit)},
-                     {"attempt", std::to_string(rec.attempts)}});
-    }
-    top_up_all();
-    return;
-  }
-  unit_terminal(unit, UnitStatus::kFailed);
-}
-
-void FriedaRun::isolate_worker(WorkerId worker) {
-  auto& ws = *workers_[worker];
-  if (ws.isolated || finished_) return;
-  ws.isolated = true;
-  ++isolated_count_;
-  if (run_metrics_.isolations) run_metrics_.isolations->inc();
+sim::Task<net::TransferResult> FriedaRun::transfer_file(net::NodeId src, net::NodeId dst,
+                                                        Bytes bytes,
+                                                        std::optional<storage::FileId> file,
+                                                        TransferSite site) {
+  const auto r =
+      co_await cluster_.network().transfer(src, dst, bytes, options_.transfer_streams);
+  const std::string* name = file ? &catalog_.info(*file).name : nullptr;
+  timeline_.record(ActivityKind::kTransfer, r.started, r.finished,
+                   name ? site.label + *name : std::string(site.label));
   if (tracer_) {
-    trace_instant("isolate-worker", "protocol",
-                  {{"worker", std::to_string(worker)}, {"vm", std::to_string(ws.vm)}});
+    obs::TraceEvent ev;
+    ev.name = name ? site.span + *name : std::string(site.span);
+    ev.cat = "staging";
+    ev.process = site.process;
+    ev.track = site.track;
+    ev.start = r.started;
+    ev.end = r.finished;
+    ev.args = {{site.owner_key, std::to_string(site.owner)}};
+    if (name) ev.args.push_back({"file", *name});
+    ev.args.push_back({"bytes", std::to_string(r.transferred)});
+    if (name) ev.args.push_back({"ok", r.ok() ? "1" : "0"});
+    tracer_->span(std::move(ev));
   }
-  ws.inbox->close();  // a blocked worker wakes with nullopt and exits
-
-  // Units in flight on this worker are lost with it.
-  for (auto& rec : unit_state_) {
-    if (rec.status == UnitStatus::kInFlight && rec.worker == worker) {
-      unit_not_completed(rec.unit);
-      if (finished_) return;
-    }
-  }
-  // Its pre-assigned share never ran.
-  std::deque<WorkUnitId> share;
-  share.swap(ws.preassigned);
-  for (const auto u : share) {
-    if (unit_state_[u].status != UnitStatus::kPending) continue;
-    if (options_.requeue_on_failure) {
-      queue_.push_back(u);
-      mark_pending(u);
-    } else {
-      unit_terminal(u, UnitStatus::kUnprocessed);
-      if (finished_) return;
-    }
-  }
-  if (options_.requeue_on_failure) top_up_all();
-  check_progress_possible();
-}
-
-void FriedaRun::drain_worker(WorkerId worker) {
-  auto& ws = *workers_[worker];
-  if (ws.isolated) return;
-  if (ws.finished) {
-    // Already done with its share; only the VM teardown remains.
-    ws.draining = true;
-    maybe_terminate_vm(ws.vm);
-    return;
-  }
-  ws.draining = true;
-  if (tracer_) {
-    trace_instant("drain-worker", "protocol",
-                  {{"worker", std::to_string(worker)}, {"vm", std::to_string(ws.vm)}});
-  }
-  // The worker's remaining pre-assigned share is requeued for the others.
-  std::deque<WorkUnitId> share;
-  share.swap(ws.preassigned);
-  for (const auto u : share) {
-    if (unit_state_[u].status == UnitStatus::kPending) {
-      queue_.push_back(u);
-      mark_pending(u);
-    }
-  }
-  if (serving_) {
-    top_up(worker);  // releases the worker immediately when it is idle
-    top_up_all();
-  }
-  check_progress_possible();
+  co_return r;
 }
 
 void FriedaRun::maybe_terminate_vm(cluster::VmId vm) {
@@ -836,8 +689,9 @@ void FriedaRun::maybe_terminate_vm(cluster::VmId vm) {
   bool any_drained = false;
   for (const auto& ws : workers_) {
     if (ws->vm != vm) continue;
-    any_drained |= ws->draining;
-    if (!ws->finished && !ws->isolated) all_done = false;
+    const auto& state = core_.worker(ws->id);
+    any_drained |= state.draining;
+    if (!state.finished && !state.isolated) all_done = false;
   }
   if (any_drained && all_done && cluster_.vm(vm).running()) {
     replicas_.drop_node(cluster_.vm(vm).node());
@@ -885,10 +739,6 @@ bool FriedaRun::evict_one_replica(cluster::VmId vm) {
   return false;
 }
 
-void FriedaRun::note_staged(cluster::VmId vm, storage::FileId file) {
-  vm_ctx(vm).staged_order.push_back(file);
-}
-
 void FriedaRun::pin_unit(WorkUnitId unit, cluster::VmId vm) {
   unit_pin_vm_[unit] = vm;
   auto& pins = vm_ctx(vm).pins;
@@ -912,61 +762,6 @@ void FriedaRun::unpin_unit(WorkUnitId unit) {
   }
 }
 
-void FriedaRun::invalidate_unstaged_preassignments() {
-  // Upfront staging may have been cut short by disk capacity; the affected
-  // units can never run on their assigned worker.
-  for (auto& ws : workers_) {
-    const auto node = cluster_.vm(ws->vm).node();
-    std::deque<WorkUnitId> keep;
-    for (const auto u : ws->preassigned) {
-      const bool staged =
-          std::all_of(units_[u].inputs.begin(), units_[u].inputs.end(),
-                      [&](storage::FileId f) { return replicas_.has(f, node); });
-      if (staged) {
-        keep.push_back(u);
-      } else if (unit_state_[u].status == UnitStatus::kPending) {
-        if (options_.requeue_on_failure) {
-          queue_.push_back(u);  // another worker can stage and run it
-          mark_pending(u);
-        } else {
-          unit_terminal(u, UnitStatus::kUnprocessed);
-          if (finished_) return;
-        }
-      }
-    }
-    ws->preassigned = std::move(keep);
-  }
-}
-
-void FriedaRun::check_progress_possible() {
-  if (finished_) return;
-  const bool any_live = std::any_of(workers_.begin(), workers_.end(),
-                                    [&](const auto& ws) { return worker_live(*ws); });
-  if (any_live) return;
-  // No worker can ever request again: pending units are unprocessable.
-  for (auto& rec : unit_state_) {
-    if (rec.status == UnitStatus::kPending) {
-      unit_terminal(rec.unit, UnitStatus::kUnprocessed);
-      if (finished_) return;
-    }
-  }
-}
-
-void FriedaRun::finish_all() {
-  if (finished_) return;
-  finished_ = true;
-  end_time_ = sim_.now();
-  for (auto& ws : workers_) {
-    if (!ws->finished && !ws->isolated) {
-      ws->inbox->try_send(NoMoreWork{});
-      ws->finished = true;
-    }
-    ws->inbox->close();
-  }
-  events_->close();
-  master_done_->trigger();
-}
-
 // ---------------------------------------------------------------------------
 // Open-loop service mode (arrival injection + reactive elasticity)
 // ---------------------------------------------------------------------------
@@ -979,19 +774,19 @@ sim::Task<> FriedaRun::arrival_pump() {
   for (std::size_t i = 0; i < units_.size(); ++i) {
     const SimTime at = serve_start_ + options_.arrivals[i];
     if (at > sim_.now()) co_await sim_.delay(at - sim_.now());
-    if (finished_) co_return;
-    auto& rec = unit_state_[i];
+    if (core_.finished()) co_return;
+    auto& rec = core_.record(units_[i].id);
     if (rec.status != UnitStatus::kPending) continue;  // e.g. marked unprocessed
     rec.arrival = sim_.now();
     if (tracer_) trace_born_[i] = sim_.now();
     mark_pending(units_[i].id);
-    queue_.push_back(units_[i].id);
+    core_.enqueue(units_[i].id);
     if (tracer_) {
       trace_instant("arrival", "service",
                     {{"unit", std::to_string(i)},
-                     {"depth", std::to_string(queue_.size())}});
+                     {"depth", std::to_string(core_.queue_depth())}});
     }
-    if (!master_down_) top_up_all();
+    if (!master_down_) core_.top_up_all(sim_.now());
   }
 }
 
@@ -1004,10 +799,10 @@ sim::Task<> FriedaRun::elastic_main() {
   const cluster::InstanceType vm_type = cluster_.vm(initial_vms_.front()).type();
   int out_streak = 0;
   int in_streak = 0;
-  while (!finished_) {
+  while (!core_.finished()) {
     co_await sim_.delay(ep.check_interval);
-    if (finished_) co_return;
-    const std::size_t depth = queue_.size();
+    if (core_.finished()) co_return;
+    const std::size_t depth = core_.queue_depth();
     if (depth >= ep.scale_out_depth) {
       in_streak = 0;
       if (++out_streak >= ep.hysteresis) {
@@ -1054,15 +849,16 @@ sim::Task<> FriedaRun::elastic_main() {
 
 obs::TelemetryTick FriedaRun::telemetry_tick_now() const {
   obs::TelemetryTick t;
-  t.queue_depth = static_cast<double>(queue_.size());
+  t.queue_depth = static_cast<double>(core_.queue_depth());
   std::size_t in_flight = 0;
   std::size_t live = 0;
   std::size_t completed = 0;
   std::set<cluster::VmId> vms;
   for (const auto& ws : workers_) {
-    in_flight += ws->unacked;
+    const auto& state = core_.worker(ws->id);
+    in_flight += state.unacked;
     completed += ws->completed;
-    if (worker_live(*ws)) {
+    if (state.live()) {
       ++live;
       vms.insert(ws->vm);
     }
@@ -1081,9 +877,9 @@ sim::Task<> FriedaRun::telemetry_main() {
   // Sample the attached probe every interval of simulation time until the
   // run finishes; run() adds the final sample at end_time_ itself.
   const SimTime interval = telemetry_->interval();
-  while (!finished_) {
+  while (!core_.finished()) {
     co_await sim_.delay(interval);
-    if (finished_) co_return;
+    if (core_.finished()) co_return;
     telemetry_->tick(sim_.now(), telemetry_tick_now());
   }
 }
@@ -1107,21 +903,8 @@ sim::Task<> FriedaRun::stage_common_data(cluster::VmId vm) {
     ready.trigger();
     co_return;
   }
-  const auto node = cluster_.vm(vm).node();
-  const auto r = co_await cluster_.network().transfer(cluster_.source_node(), node, common,
-                                                      options_.transfer_streams);
-  timeline_.record(ActivityKind::kTransfer, r.started, r.finished, "common-data");
-  if (tracer_) {
-    obs::TraceEvent ev;
-    ev.name = "stage-common";
-    ev.cat = "staging";
-    ev.process = obs::kRunTrack;
-    ev.track = static_cast<std::uint32_t>(vm);
-    ev.start = r.started;
-    ev.end = r.finished;
-    ev.args = {{"vm", std::to_string(vm)}, {"bytes", std::to_string(r.transferred)}};
-    tracer_->span(std::move(ev));
-  }
+  co_await transfer_file(cluster_.source_node(), cluster_.vm(vm).node(), common, std::nullopt,
+                         {"common-data", "stage-common", obs::kRunTrack, vm, "vm", vm});
   ready.trigger();
 }
 
@@ -1135,37 +918,21 @@ sim::Task<> FriedaRun::stage_files_to_node(cluster::VmId vm, std::vector<storage
     if (!reserve_disk(vm, catalog_.info(f).size, /*allow_eviction=*/false)) {
       FLOG(kWarn, "master", "vm " << vm << " local disk full during staging; "
                                   << "remaining files stay at the source");
-      co_return;  // invalidate_unstaged_preassignments() marks the fallout
+      co_return;  // MasterCore::withdraw_unlocal() handles the fallout
     }
     const auto src = replica_source(f, node);
     if (!src) {
       if (options_.track_disk_capacity) cluster_.vm(vm).disk().release(catalog_.info(f).size);
       co_return;
     }
-    const auto r = co_await cluster_.network().transfer(
-        *src, node, catalog_.info(f).size, options_.transfer_streams);
-    timeline_.record(ActivityKind::kTransfer, r.started, r.finished,
-                     "stage:" + catalog_.info(f).name);
-    if (tracer_) {
-      obs::TraceEvent ev;
-      ev.name = "stage-node " + catalog_.info(f).name;
-      ev.cat = "staging";
-      ev.process = obs::kRunTrack;
-      ev.track = static_cast<std::uint32_t>(vm);
-      ev.start = r.started;
-      ev.end = r.finished;
-      ev.args = {{"vm", std::to_string(vm)},
-                 {"file", catalog_.info(f).name},
-                 {"bytes", std::to_string(r.transferred)},
-                 {"ok", r.ok() ? "1" : "0"}};
-      tracer_->span(std::move(ev));
-    }
+    const auto r = co_await transfer_file(*src, node, catalog_.info(f).size, f,
+                                          {"stage:", "stage-node ", obs::kRunTrack, vm, "vm", vm});
     if (!r.ok()) {
       if (options_.track_disk_capacity) cluster_.vm(vm).disk().release(catalog_.info(f).size);
       co_return;  // node died; isolation handles the fallout
     }
     replicas_.add(f, node);
-    note_staged(vm, f);
+    vm_ctx(vm).staged_order.push_back(f);
   }
 }
 
@@ -1183,14 +950,12 @@ sim::Task<> FriedaRun::staging() {
     // (paper Section II.F).
     const auto assignment =
         assign_units(options_.assignment, units_, catalog_, workers_.size());
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      workers_[w]->preassigned.assign(assignment[w].begin(), assignment[w].end());
-    }
+    for (WorkerId w = 0; w < workers_.size(); ++w) core_.assign_share(w, assignment[w]);
   } else if (!open_loop()) {
     // Real-time / remote-read: every unit waits in the shared queue and is
     // handed out lazily as workers ask (the 'lazy' transfer of Section II.F).
     // Open-loop runs leave the queue empty: the arrival pump fills it.
-    for (const auto& u : units_) queue_.push_back(u.id);
+    for (const auto& u : units_) core_.enqueue(u.id);
   }
 
   std::set<cluster::VmId> vms;
@@ -1201,7 +966,7 @@ sim::Task<> FriedaRun::staging() {
       // Data must already be resident (packaged in the VM image).
       for (const auto& ws : workers_) {
         const auto node = cluster_.vm(ws->vm).node();
-        for (const auto u : ws->preassigned) {
+        for (const auto u : core_.worker(ws->id).share) {
           for (const auto f : units_[u].inputs) {
             FRIEDA_CHECK(replicas_.has(f, node),
                          "pre-partition-local requires file " << f << " on node " << node
@@ -1225,7 +990,7 @@ sim::Task<> FriedaRun::staging() {
           std::set<storage::FileId> wanted;
           for (const auto& ws : workers_) {
             if (ws->vm != vm) continue;
-            for (const auto u : ws->preassigned) {
+            for (const auto u : core_.worker(ws->id).share) {
               for (const auto f : units_[u].inputs) wanted.insert(f);
             }
           }
@@ -1240,7 +1005,9 @@ sim::Task<> FriedaRun::staging() {
                    "stage-node");
       }
       co_await wg.wait();
-      invalidate_unstaged_preassignments();
+      // Staging may have been cut short by disk capacity; the affected units
+      // can never run on their assigned worker.
+      core_.withdraw_unlocal(sim_.now());
       break;
     }
     case PlacementStrategy::kRealTime:
@@ -1289,24 +1056,9 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
           read_ok = false;
           break;
         }
-        const auto r = co_await cluster_.network().transfer(
-            *src, vm.node(), catalog_.info(f).size, options_.transfer_streams);
-        timeline_.record(ActivityKind::kTransfer, r.started, r.finished,
-                         "remote-read:" + catalog_.info(f).name);
-        if (tracer_) {
-          obs::TraceEvent ev;
-          ev.name = "remote-read " + catalog_.info(f).name;
-          ev.cat = "staging";
-          ev.process = obs::kWorkerTrack;
-          ev.track = static_cast<std::uint32_t>(id);
-          ev.start = r.started;
-          ev.end = r.finished;
-          ev.args = {{"unit", std::to_string(work.unit.id)},
-                     {"file", catalog_.info(f).name},
-                     {"bytes", std::to_string(r.transferred)},
-                     {"ok", r.ok() ? "1" : "0"}};
-          tracer_->span(std::move(ev));
-        }
+        const auto r = co_await transfer_file(
+            *src, vm.node(), catalog_.info(f).size, f,
+            {"remote-read:", "remote-read ", obs::kWorkerTrack, id, "unit", work.unit.id});
         transfer_s += r.duration();
         if (!r.ok()) {
           read_ok = false;
@@ -1379,7 +1131,7 @@ RunReport FriedaRun::run() {
   sim_.spawn(controller_main(), "controller");
   sim_.run();
 
-  FRIEDA_CHECK(finished_ || all_terminal(),
+  FRIEDA_CHECK(core_.all_terminal(),
                "simulation drained but the run did not finish; "
                "a process deadlocked (this is a bug)");
 
@@ -1392,26 +1144,27 @@ RunReport FriedaRun::run() {
   report.staging_end = std::max(staging_end_, ready_time_);
   report.end_time = end_time_;
   report.units_total = units_.size();
-  for (const auto& rec : unit_state_) {
+  report.units = core_.records();
+  for (const auto& rec : report.units) {
     report.units_completed += rec.status == UnitStatus::kCompleted;
     report.units_failed += rec.status == UnitStatus::kFailed;
     report.units_unprocessed += rec.status == UnitStatus::kUnprocessed;
   }
-  report.units = unit_state_;
   for (const auto& ws : workers_) {
+    const auto& state = core_.worker(ws->id);
     WorkerReport wr;
     wr.worker = ws->id;
     wr.vm = ws->vm;
     wr.slot = ws->slot;
     wr.units_completed = ws->completed;
     wr.busy_seconds = ws->busy_seconds;
-    wr.isolated = ws->isolated;
-    wr.drained = ws->draining;
+    wr.isolated = state.isolated;
+    wr.drained = state.draining;
+    report.workers_isolated += state.isolated;
     report.workers.push_back(wr);
   }
   report.bytes_moved = cluster_.network().total_bytes_moved() - bytes_baseline_;
   report.transfers = cluster_.network().transfers_started() - transfers_baseline_;
-  report.workers_isolated = isolated_count_;
   report.timeline = timeline_;
   report.open_loop = open_loop();
   report.serve_start = serve_start_;

@@ -22,7 +22,6 @@
 // outlive the simulation run (it registers cluster callbacks).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,6 +33,7 @@
 #include "common/stats.hpp"
 #include "frieda/app_model.hpp"
 #include "frieda/command.hpp"
+#include "frieda/master_core.hpp"
 #include "frieda/protocol.hpp"
 #include "frieda/report.hpp"
 #include "frieda/types.hpp"
@@ -126,6 +126,11 @@ struct RunOptions {
                                       ///< (open-loop mode only)
 };
 
+/// The master core's dispatch rules for a run configured by `options`:
+/// 1 + prefetch credits per worker, the requeue cap, locality-aware
+/// dispatch, and early release of pre-partitioned workers without requeue.
+MasterPolicy master_policy(const RunOptions& options);
+
 /// One configured execution; see file comment for the protocol walk-through.
 class FriedaRun {
  public:
@@ -190,19 +195,27 @@ class FriedaRun {
 
   using InboxMessage = std::variant<ControlMessage, WorkerMessage>;
 
+  /// A worker's transport and tallies; its dispatch state lives in core_.
   struct WorkerCtx {
     WorkerId id = 0;
     cluster::VmId vm = 0;
     unsigned slot = 0;
     std::unique_ptr<sim::Channel<MasterMessage>> inbox;
-    std::deque<WorkUnitId> preassigned;
-    bool registered = false;
-    bool isolated = false;
-    bool draining = false;
-    bool finished = false;  ///< received NoMoreWork / exited
-    std::size_t unacked = 0;  ///< committed assignments awaiting ExecStatus
     std::size_t completed = 0;
     SimTime busy_seconds = 0.0;
+  };
+
+  /// Where one file transfer shows up: the timeline label and trace span
+  /// name are `label`/`span` + the file name (exactly `label`/`span` for
+  /// the common data), the span lands on (`process`, `track`) and its first
+  /// argument is `owner_key` = `owner` (the unit or VM it serves).
+  struct TransferSite {
+    const char* label;
+    const char* span;
+    std::uint32_t process;
+    std::uint32_t track;
+    const char* owner_key;
+    std::uint32_t owner;
   };
 
   // ---- roles ----
@@ -218,36 +231,30 @@ class FriedaRun {
   sim::Task<> staging();
   sim::Task<> stage_files_to_node(cluster::VmId vm, std::vector<storage::FileId> files);
   sim::Task<> stage_common_data(cluster::VmId vm);
+  /// Stage the unit's inputs on the worker's node, then hand it over.
   sim::Task<> dispatch(WorkerId worker, WorkUnitId unit);
+  /// Move `bytes` (file `file`, or the common data when nullopt) from `src`
+  /// to `dst`, recording it on the timeline and as a staging span.
+  sim::Task<net::TransferResult> transfer_file(net::NodeId src, net::NodeId dst, Bytes bytes,
+                                               std::optional<storage::FileId> file,
+                                               TransferSite site);
 
   // ---- master helpers ----
+  /// The core's callbacks into this run (see MasterHooks).
+  MasterHooks master_hooks();
   void handle_control(const ControlMessage& msg);
   void handle_worker_msg(const WorkerMessage& msg);
-  void top_up(WorkerId worker);  ///< commit assignments up to the credit limit
-  void top_up_all();
-  std::optional<WorkUnitId> next_unit_for(WorkerCtx& ws);
-  void unit_terminal(WorkUnitId unit, UnitStatus status);
-  void unit_not_completed(WorkUnitId unit);  // requeue or fail per options
-  void isolate_worker(WorkerId worker);
-  void drain_worker(WorkerId worker);
   void maybe_terminate_vm(cluster::VmId vm);
-  void check_progress_possible();
-  void finish_all();
-  // Disk-capacity accounting (Section III.A: "local disk space is very
-  // limited").  reserve_disk evicts unpinned processed inputs when allowed.
   void recover_master();
-  void force_requeue(WorkUnitId unit);  ///< back to pending, whatever the options
   /// Best replica to pull `file` from when staging to `target`: the source
   /// directory if it has it, else a same-site replica, else any replica.
   std::optional<net::NodeId> replica_source(storage::FileId file, net::NodeId target);
+  // Disk-capacity accounting (Section III.A: "local disk space is very
+  // limited").  reserve_disk evicts unpinned processed inputs when allowed.
   bool reserve_disk(cluster::VmId vm, Bytes size, bool allow_eviction);
   bool evict_one_replica(cluster::VmId vm);
-  void note_staged(cluster::VmId vm, storage::FileId file);
   void pin_unit(WorkUnitId unit, cluster::VmId vm);
   void unpin_unit(WorkUnitId unit);
-  void invalidate_unstaged_preassignments();
-  bool all_terminal() const { return terminal_count_ == units_.size(); }
-  bool worker_live(const WorkerCtx& ws) const;
   bool open_loop() const { return !options_.arrivals.empty(); }
   /// True for the strategies whose workers stream inputs at execution time
   /// instead of having them staged (remote-read, shared-volume).
@@ -262,10 +269,6 @@ class FriedaRun {
   // ---- observability taps (all no-ops when tracing/metrics are off) ----
   /// Remember when `unit` (re)entered a queue, for its pending span.
   void mark_pending(WorkUnitId unit);
-  /// Emit the pending span that ends with this dispatch.
-  void trace_dispatched(WorkUnitId unit, WorkerId worker);
-  /// Emit the unit's lifecycle span on reaching a terminal state.
-  void trace_terminal(const UnitRecord& rec);
   /// Emit a protocol/control instant at sim-now on the run track.
   void trace_instant(const char* name, const char* cat,
                      std::vector<std::pair<const char*, std::string>> args = {});
@@ -284,21 +287,17 @@ class FriedaRun {
   storage::ReplicaMap replicas_;
   Timeline timeline_;
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  std::vector<UnitRecord> unit_state_;
-  std::deque<WorkUnitId> queue_;    ///< shared dispatch queue (real-time, requeues)
-  std::size_t terminal_count_ = 0;
+  MasterCore core_;                 ///< unit records, shares, queue, credits
   bool initialized_ = false;        ///< StartMaster + partition + workers received
   bool serving_ = false;            ///< staging done; requests are served live
   bool common_preplaced_ = false;   ///< pre_place_*() seeded the common data too
-  bool finished_ = false;
-  std::size_t isolated_count_ = 0;
   SimTime ready_time_ = 0.0;
   SimTime staging_end_ = 0.0;
   SimTime end_time_ = 0.0;
   bool ran_ = false;
 
   // Open-loop service state: when serving started (arrival offsets are
-  // relative to it), the latency sample set fed by unit_terminal, and the
+  // relative to it), the latency sample set fed by terminal units, and the
   // elasticity policy's bookkeeping (VMs it added, scale event counts).
   SimTime serve_start_ = 0.0;
   SampleSet latency_;
@@ -308,7 +307,6 @@ class FriedaRun {
 
   std::unique_ptr<sim::Channel<InboxMessage>> inbox_;
   std::unique_ptr<sim::Channel<ControllerEvent>> events_;
-  std::unique_ptr<sim::Signal> master_done_;
 
   // Per-VM master state: common-data readiness and the disk accounting —
   // staged arrival order (eviction candidates), pin counts of inputs
@@ -334,7 +332,6 @@ class FriedaRun {
   std::uint64_t master_epoch_ = 0;
   std::unique_ptr<sim::Signal> master_recovered_;
   std::vector<char> handed_;
-  std::size_t master_crashes_ = 0;
   std::size_t failure_token_ = 0;  ///< cluster observer registrations,
   std::size_t running_token_ = 0;  ///< released in the destructor
 

@@ -11,20 +11,8 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 namespace frieda::rt {
-
-/// Outcome of a non-blocking pop.  kEmpty means "nothing *yet* — retry or
-/// steal elsewhere"; kClosed means "closed and drained — no item will ever
-/// appear again".  A plain optional cannot express the difference, which is
-/// exactly what a polling consumer needs to decide between spinning and
-/// terminating.
-enum class PopStatus {
-  kItem,    ///< an item was popped into the out-parameter
-  kEmpty,   ///< no item buffered, but the queue is still open
-  kClosed,  ///< closed and fully drained: done forever
-};
 
 /// Unbounded MPMC queue; pop() blocks until an item or close().
 template <typename T>
@@ -53,39 +41,6 @@ class MpmcQueue {
     T value = std::move(items_.front());
     items_.pop_front();
     return value;
-  }
-
-  /// Non-blocking pop.  kItem fills `out`; kEmpty and kClosed leave it
-  /// untouched and tell the poller whether retrying can ever succeed.
-  PopStatus try_pop(T& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return closed_ ? PopStatus::kClosed : PopStatus::kEmpty;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return PopStatus::kItem;
-  }
-
-  /// Steal-half: move the front ceil(size/2) buffered items into `out`
-  /// (appended, queue order preserved) in one critical section.  Returns the
-  /// number taken — 0 when the queue is empty.  A work-stealing consumer
-  /// uses this to rebalance a skewed backlog in O(1) lock acquisitions
-  /// instead of racing the owner item by item.
-  std::size_t try_pop_half(std::vector<T>& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t take = (items_.size() + 1) / 2;
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return take;
-  }
-
-  /// True once the queue is closed *and* the buffer is empty — the moment
-  /// try_pop starts returning kClosed.  Pollers use this to distinguish
-  /// "done" from "momentarily empty" without attempting a pop.
-  bool drained() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_ && items_.empty();
   }
 
   /// Close: wakes all blocked consumers after the buffer drains.

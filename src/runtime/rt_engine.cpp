@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "frieda/assignment.hpp"
+#include "frieda/master_core.hpp"
 #include "frieda/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -144,15 +145,14 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
   // detached run pays nothing).  "Latency" here is a unit's dispatch ->
   // terminal wall time — the threaded runtime has no arrival process yet.
   obs::TelemetryProbe* const probe = options_.telemetry;
-  std::atomic<std::size_t> tl_undispatched{units.size()};
   std::atomic<std::size_t> tl_dispatched{0};
   std::atomic<std::size_t> tl_done{0};
   std::atomic<std::size_t> tl_completed{0};
   std::atomic<std::size_t> tl_released{0};
   const auto telemetry_snapshot = [&] {
     obs::TelemetryTick t;
-    t.queue_depth = static_cast<double>(tl_undispatched.load(std::memory_order_relaxed));
     const auto disp = tl_dispatched.load(std::memory_order_relaxed);
+    t.queue_depth = static_cast<double>(units.size() - disp);
     const auto done = tl_done.load(std::memory_order_relaxed);
     t.in_flight = disp > done ? static_cast<double>(disp - done) : 0.0;
     const auto rel = std::min(n_workers, tl_released.load(std::memory_order_relaxed));
@@ -161,30 +161,8 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     t.completed = static_cast<double>(tl_completed.load(std::memory_order_relaxed));
     return t;
   };
-  std::mutex sampler_mutex;
-  std::condition_variable sampler_cv;
-  bool sampler_stop = false;
-  std::thread sampler;
-  if (probe != nullptr) {
-    probe->begin(0.0, tracer);
-    sampler = std::thread([&] {
-      const std::chrono::duration<double> period(probe->interval());
-      std::unique_lock<std::mutex> lock(sampler_mutex);
-      while (!sampler_cv.wait_for(lock, period, [&] { return sampler_stop; })) {
-        probe->tick(seconds_since(t0), telemetry_snapshot());
-      }
-    });
-  }
 
-  // Worker staging directories.
-  std::vector<fs::path> worker_dirs(n_workers);
-  if (!local) {
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      worker_dirs[w] = fs::path(options_.staging_root) / ("worker" + std::to_string(w));
-      fs::create_directories(worker_dirs[w]);
-    }
-  }
-
+  std::vector<fs::path> worker_dirs(n_workers);  // staging directories
   const auto source_path = [&](storage::FileId f) {
     return fs::path(source_dir_) / catalog_.info(f).name;
   };
@@ -205,9 +183,114 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     return paths;
   };
 
+  // A protocol instant about one worker on the run track.
+  const auto trace_protocol = [&](const char* name, core::WorkerId w, double at) {
+    if (!tracer) return;
+    obs::TraceEvent ev;
+    ev.kind = obs::TraceEvent::Kind::kInstant;
+    ev.name = name;
+    ev.cat = "protocol";
+    ev.process = obs::kRunTrack;
+    ev.start = ev.end = at;
+    ev.args = {{"worker", std::to_string(w)}};
+    tracer->instant(std::move(ev));
+  };
+
+  // ---- master (shared dispatch core; control and data management) ----
+  // One credit per worker and no requeue: a worker holds one unit at a time
+  // and a failed unit stays failed.  Pre-partitioned workers are released
+  // once their share is done; real-time workers once every unit is terminal.
+  core::MasterHooks hooks;
+  hooks.dispatch = [&](core::WorkerId w, core::WorkUnitId unit) {
+    if (probe) tl_dispatched.fetch_add(1, std::memory_order_relaxed);
+    core::AssignWork work;
+    work.unit = units[unit];
+    work.command = command.bind_unit(units[unit], catalog_,
+                                     local ? source_dir_ : worker_dirs[w].string());
+    work.inputs_staged = !realtime;
+    worker_inboxes[w]->push(std::move(work));
+  };
+  hooks.release = [&](core::WorkerId w) {
+    worker_inboxes[w]->push(core::NoMoreWork{});
+    if (probe) tl_released.fetch_add(1, std::memory_order_relaxed);
+    trace_protocol("release-worker", w, seconds_since(t0));
+  };
+  hooks.terminal = [&](const core::UnitRecord& rec) {
+    const bool ok = rec.status == core::UnitStatus::kCompleted;
+    report.units[rec.unit] = {rec.unit, rec.worker, ok, rec.transfer_seconds,
+                              rec.exec_seconds, rec.attempts};
+    if (ok) {
+      ++report.units_completed;
+      ++report.per_worker_completed[rec.worker];
+    } else {
+      ++report.units_failed;
+    }
+    if (probe) {
+      tl_done.fetch_add(1, std::memory_order_relaxed);
+      if (ok) tl_completed.fetch_add(1, std::memory_order_relaxed);
+      probe->observe_latency(rec.finished, rec.finished - rec.dispatched);
+    }
+    if (tracer) {
+      obs::TraceEvent ev;
+      ev.name = "unit " + std::to_string(rec.unit);
+      ev.cat = "unit";
+      ev.process = obs::kUnitTrack;
+      ev.track = static_cast<std::uint32_t>(rec.unit);
+      ev.start = rec.dispatched;
+      ev.end = rec.finished;
+      ev.args = {{"worker", std::to_string(rec.worker)}, {"ok", ok ? "1" : "0"}};
+      tracer->span(std::move(ev));
+    }
+  };
+  core::MasterCore master(units, core::MasterPolicy{.credits = 1, .release_idle = !realtime},
+                          std::move(hooks));
+  for (std::size_t w = 0; w < n_workers; ++w) master.add_worker();
+  if (!local) {
+    for (std::size_t w = 0; w < n_workers; ++w) {
+      worker_dirs[w] = fs::path(options_.staging_root) / ("worker" + std::to_string(w));
+      fs::create_directories(worker_dirs[w]);
+    }
+  }
+
   // ---- workers (execution plane) ----
+  std::mutex sampler_mutex;
+  std::condition_variable sampler_cv;
+  bool sampler_stop = false;
+  std::thread sampler;
   std::vector<std::thread> workers;
   workers.reserve(n_workers);
+  // Every exit path, a throw included, stops the threads before the state
+  // they share goes out of scope: closed inboxes end the worker loops once
+  // drained, and the sampler wakes on its stop flag.  Idempotent.
+  const auto stop_threads = [&] {
+    for (auto& inbox : worker_inboxes) inbox->close();
+    for (auto& t : workers) {
+      if (t.joinable()) t.join();
+    }
+    if (sampler.joinable()) {
+      {
+        std::lock_guard<std::mutex> lock(sampler_mutex);
+        sampler_stop = true;
+      }
+      sampler_cv.notify_all();
+      sampler.join();
+    }
+  };
+  struct StopOnExit {
+    const decltype(stop_threads)& stop;
+    ~StopOnExit() { stop(); }
+  } stop_on_exit{stop_threads};
+
+  if (probe != nullptr) {
+    probe->begin(0.0, tracer);
+    sampler = std::thread([&] {
+      const std::chrono::duration<double> period(probe->interval());
+      std::unique_lock<std::mutex> lock(sampler_mutex);
+      while (!sampler_cv.wait_for(lock, period, [&] { return sampler_stop; })) {
+        probe->tick(seconds_since(t0), telemetry_snapshot());
+      }
+    });
+  }
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers.emplace_back([&, w] {
       auto& inbox = *worker_inboxes[w];
@@ -240,6 +323,9 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
         } catch (const std::exception& e) {
           FLOG(kWarn, "rt-worker", "unit " << work.unit.id << " failed: " << e.what());
           ok = false;
+        } catch (...) {
+          FLOG(kWarn, "rt-worker", "unit " << work.unit.id << " failed: unknown exception");
+          ok = false;
         }
         if (tracer) {
           const double end_s = seconds_since(t0);
@@ -270,143 +356,47 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     });
   }
 
-  // ---- controller + master (control and data management) ----
-  std::vector<std::deque<core::WorkUnitId>> preassigned(n_workers);
-  std::deque<core::WorkUnitId> queue;
-  if (realtime) {
-    for (const auto& u : units) queue.push_back(u.id);
-  } else {
+  if (!realtime) {
     const auto assignment =
         core::assign_units(options_.assignment, units, catalog_, n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      preassigned[w].assign(assignment[w].begin(), assignment[w].end());
-    }
+    for (core::WorkerId w = 0; w < n_workers; ++w) master.assign_share(w, assignment[w]);
     if (!local) {
       // Sequential phases: stage every worker's share before execution.
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        for (const auto u : preassigned[w]) {
+      for (core::WorkerId w = 0; w < n_workers; ++w) {
+        for (const auto u : master.worker(w).share) {
           double ignored = 0.0;
           stage_unit(units[u], w, ignored);
         }
       }
       report.staging_seconds = seconds_since(t0);
     }
+  } else {
+    for (const auto& u : units) master.enqueue(u.id);
   }
 
-  std::vector<double> dispatched_at(tracer || probe ? units.size() : 0, 0.0);
-
-  const auto dispatch = [&](std::size_t w) {
-    core::WorkUnitId unit;
-    if (realtime) {
-      if (queue.empty()) return false;
-      unit = queue.front();
-      queue.pop_front();
-    } else {
-      if (preassigned[w].empty()) return false;
-      unit = preassigned[w].front();
-      preassigned[w].pop_front();
-    }
-    if (tracer || probe) dispatched_at[unit] = seconds_since(t0);
-    if (probe) {
-      tl_undispatched.fetch_sub(1, std::memory_order_relaxed);
-      tl_dispatched.fetch_add(1, std::memory_order_relaxed);
-    }
-    core::AssignWork work;
-    work.unit = units[unit];
-    work.command = command.bind_unit(units[unit], catalog_,
-                                     local ? source_dir_ : worker_dirs[w].string());
-    work.inputs_staged = !realtime;
-    worker_inboxes[w]->push(std::move(work));
-    return true;
-  };
-
-  std::size_t terminal = 0;
-  std::vector<bool> released(n_workers, false);
-  const auto release = [&](std::size_t w) {
-    if (!released[w]) {
-      worker_inboxes[w]->push(core::NoMoreWork{});
-      released[w] = true;
-      if (probe) tl_released.fetch_add(1, std::memory_order_relaxed);
-      if (tracer) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::kInstant;
-        ev.name = "release-worker";
-        ev.cat = "protocol";
-        ev.process = obs::kRunTrack;
-        ev.start = ev.end = seconds_since(t0);
-        ev.args = {{"worker", std::to_string(w)}};
-        tracer->instant(std::move(ev));
-      }
-    }
-  };
-
-  while (terminal < units.size()) {
+  while (!master.all_terminal()) {
     const auto msg = master_inbox.pop();
     FRIEDA_CHECK(msg.has_value(), "master inbox closed unexpectedly");
+    const double now = seconds_since(t0);
     if (const auto* reg = std::get_if<core::RegisterWorker>(&*msg)) {
-      if (tracer) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::kInstant;
-        ev.name = "register-worker";
-        ev.cat = "protocol";
-        ev.process = obs::kRunTrack;
-        ev.start = ev.end = seconds_since(t0);
-        ev.args = {{"worker", std::to_string(reg->worker)}};
-        tracer->instant(std::move(ev));
-      }
-      continue;
-    }
-    if (const auto* req = std::get_if<core::RequestWork>(&*msg)) {
-      if (!dispatch(req->worker)) release(req->worker);
-      continue;
-    }
-    const auto& status = std::get<core::ExecStatus>(*msg);
-    auto& rec = report.units[status.unit];
-    rec.unit = status.unit;
-    rec.worker = status.worker;
-    rec.ok = status.ok;
-    rec.transfer_seconds = status.transfer_seconds;
-    rec.exec_seconds = status.exec_seconds;
-    ++terminal;
-    if (status.ok) {
-      ++report.units_completed;
-      ++report.per_worker_completed[status.worker];
+      trace_protocol("register-worker", reg->worker, now);
+    } else if (const auto* req = std::get_if<core::RequestWork>(&*msg)) {
+      master.top_up(req->worker, now);
     } else {
-      ++report.units_failed;
+      const auto& status = std::get<core::ExecStatus>(*msg);
+      auto& rec = master.record(status.unit);
+      rec.transfer_seconds = status.transfer_seconds;
+      rec.exec_seconds = status.exec_seconds;
+      master.on_status(status.worker, status.unit, status.ok, now);
     }
-    if (probe) {
-      tl_done.fetch_add(1, std::memory_order_relaxed);
-      if (status.ok) tl_completed.fetch_add(1, std::memory_order_relaxed);
-      const double now = seconds_since(t0);
-      probe->observe_latency(now, now - dispatched_at[status.unit]);
-    }
-    if (tracer) {
-      obs::TraceEvent ev;
-      ev.name = "unit " + std::to_string(status.unit);
-      ev.cat = "unit";
-      ev.process = obs::kUnitTrack;
-      ev.track = static_cast<std::uint32_t>(status.unit);
-      ev.start = dispatched_at[status.unit];
-      ev.end = seconds_since(t0);
-      ev.args = {{"worker", std::to_string(status.worker)},
-                 {"ok", status.ok ? "1" : "0"}};
-      tracer->span(std::move(ev));
-    }
-    if (!dispatch(status.worker)) release(status.worker);
   }
-  for (std::size_t w = 0; w < n_workers; ++w) release(w);
-  for (auto& t : workers) t.join();
+  master.finish();  // a zero-unit run never reaches a terminal transition
+  stop_threads();
 
   report.makespan = seconds_since(t0);
   report.bytes_staged = bytes_staged.load();
 
   if (probe != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mutex);
-      sampler_stop = true;
-    }
-    sampler_cv.notify_all();
-    sampler.join();
     // Final sample at the makespan, then evaluate SLO targets.
     probe->tick(report.makespan, telemetry_snapshot());
     probe->finish(report.makespan);

@@ -66,6 +66,7 @@ struct RtUnitRecord {
   bool ok = false;
   double transfer_seconds = 0.0;
   double exec_seconds = 0.0;
+  int attempts = 0;  ///< dispatch attempts (1 once dispatched; rt never requeues)
 };
 
 /// Result of one threaded run.

@@ -28,41 +28,8 @@ TEST(MpmcQueue, PushPopOrder) {
   q.push(2);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pop(), std::optional<int>(1));
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), PopStatus::kItem);
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(q.try_pop(v), PopStatus::kEmpty);
-  EXPECT_EQ(v, 2);  // a non-pop leaves the out-parameter untouched
-}
-
-TEST(MpmcQueue, TryPopDistinguishesEmptyFromClosed) {
-  // The tri-state a poller needs: empty-but-open says "retry", closed-and-
-  // drained says "done forever".  The old optional API conflated the two.
-  MpmcQueue<int> q;
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), PopStatus::kEmpty);
-  EXPECT_FALSE(q.drained());
-  q.push(3);
-  q.close();
-  EXPECT_FALSE(q.drained());  // closed but not yet drained
-  EXPECT_EQ(q.try_pop(v), PopStatus::kItem);
-  EXPECT_EQ(v, 3);
-  EXPECT_EQ(q.try_pop(v), PopStatus::kClosed);
-  EXPECT_TRUE(q.drained());
-}
-
-TEST(MpmcQueue, TryPopHalfTakesFrontHalfInOrder) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 5; ++i) q.push(i);
-  std::vector<int> loot;
-  EXPECT_EQ(q.try_pop_half(loot), 3u);  // ceil(5/2)
-  EXPECT_EQ(loot, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.try_pop_half(loot), 1u);  // ceil(2/2), appends
-  EXPECT_EQ(loot, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.try_pop_half(loot), 1u);
-  EXPECT_EQ(q.try_pop_half(loot), 0u);  // empty: nothing to steal
-  EXPECT_EQ(loot.size(), 5u);
+  EXPECT_EQ(q.pop(), std::optional<int>(2));
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(MpmcQueue, CloseDrainsThenNullopt) {

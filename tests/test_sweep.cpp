@@ -2,9 +2,9 @@
 // derivation, deterministic result ordering under skewed job timings,
 // exception isolation, memoization (fingerprint stability, in-batch twins,
 // opt-out), cost-aware longest-first scheduling, FRIEDA_SWEEP_THREADS
-// validation, ScenarioSweep lifecycle, runner metrics, concurrent
+// validation, ScenarioSweep lifecycle, runner accounting, concurrent
 // create-or-get on a shared MetricsRegistry (the test the tsan preset
-// exists for), live progress reporting, and steal-half dispatch.
+// exists for), live progress reporting, and shared-cursor dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -481,39 +481,6 @@ TEST(Sweep, OutcomeBeforeRunThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Runner-owned metrics.
-// ---------------------------------------------------------------------------
-
-TEST(Sweep, RunnerMetricsTrackProgress) {
-  PaperScenarioOptions opt;
-  opt.scale = 0.1;
-  opt.seed = 4245;
-  SweepRunner<> runner(SweepOptions{2});
-  Grid grid;
-  grid.add_blast(PlacementStrategy::kRealTime, opt);
-  grid.add_als(PlacementStrategy::kRealTime, opt);
-  grid.add_blast(PlacementStrategy::kRealTime, opt);  // in-batch twin
-  (void)runner.run(grid.take());
-  const auto& m = runner.metrics();
-  const auto* completed = m.find_counter("sweep.jobs_completed");
-  const auto* hits = m.find_counter("sweep.cache_hits");
-  const auto* executed = m.find_counter("sweep.runs_executed");
-  const auto* in_flight = m.find_gauge("sweep.in_flight");
-  const auto* wall = m.find_stats("sweep.wall_per_job_s");
-  ASSERT_NE(completed, nullptr);
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(executed, nullptr);
-  ASSERT_NE(in_flight, nullptr);
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(completed->value(), 2u);  // dispatched jobs only
-  EXPECT_EQ(executed->value(), 2u);
-  EXPECT_EQ(hits->value(), 1u);       // the twin was served
-  EXPECT_EQ(in_flight->value(), 0.0); // everything drained
-  EXPECT_EQ(wall->count(), 2u);
-  EXPECT_GT(wall->mean(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency: shared MetricsRegistry across jobs.  Run this under the asan
 // and tsan presets (see docs/performance.md).
 // ---------------------------------------------------------------------------
@@ -727,15 +694,52 @@ TEST(Progress, FromEnvInvalidValueFallsBackToDefaultInterval) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal-half dispatch.
+// Runner accounting.
 // ---------------------------------------------------------------------------
 
-TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
+TEST(Sweep, RunnerCountsTrackProgress) {
+  PaperScenarioOptions opt;
+  opt.scale = 0.1;
+  opt.seed = 4245;
+  SweepRunner<> runner(SweepOptions{2});
+  Grid grid;
+  grid.add_blast(PlacementStrategy::kRealTime, opt);
+  grid.add_als(PlacementStrategy::kRealTime, opt);
+  grid.add_blast(PlacementStrategy::kRealTime, opt);  // in-batch twin
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  obs::ProgressOptions popt;
+  popt.min_interval_s = 0.0;  // print every update
+  popt.out = sink;
+  obs::ProgressReporter progress(popt);
+  runner.set_progress(&progress);
+  const auto out = runner.run(grid.take());
+  EXPECT_EQ(runner.runs_requested(), 3u);
+  EXPECT_EQ(runner.runs_executed(), 2u);  // dispatched jobs only
+  EXPECT_EQ(runner.cache_hits(), 1u);     // the twin was served
+  EXPECT_EQ(runner.schedule().size(), 2u);
+  EXPECT_GT(runner.wall_seconds(), 0.0);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_TRUE(out[2].from_cache);
+  // The reporter saw both executed jobs complete, nothing left in flight.
+  const std::string text = read_all(sink);
+  std::fclose(sink);
+  EXPECT_NE(text.find("[3/3] 0 in flight"), std::string::npos) << text;
+  EXPECT_NE(text.find("[3/3] done"), std::string::npos) << text;
+}
+
+// ---------------------------------------------------------------------------
+// Greedy dispatch from one shared cursor.
+// ---------------------------------------------------------------------------
+
+TEST(Pool, QuickJobsRunBesideALongPoleWithIdenticalResults) {
   // One long pole plus many quick cells.  The cost stamps pin the
-  // longest-first schedule [pole, quick0, quick1, ...], dealt round-robin
-  // over two workers, so worker 0 holds the pole with quick1 right behind
-  // it.  With `gated`, the pole waits (bounded) until quick1 has run; worker
-  // 0 is busy in the pole meanwhile, so only a steal can run quick1.
+  // longest-first schedule [pole, quick0, quick1, ...]; on two threads the
+  // pole is claimed first, so quick1 can only run on the other thread.
+  // With `gated`, the pole waits (bounded) until quick1 has run and returns
+  // a distinct value if the deadline expired instead.
+  constexpr std::size_t kPoleDone = 1000;
+  constexpr std::size_t kPoleTimedOut = 9999;
   auto make_jobs = [](bool gated) {
     auto quick1_ran = std::make_shared<std::atomic<bool>>(false);
     std::vector<Job<std::size_t>> jobs;
@@ -743,11 +747,11 @@ TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
                     [gated, quick1_ran] {
                       const auto deadline =
                           std::chrono::steady_clock::now() + std::chrono::seconds(30);
-                      while (gated && !quick1_ran->load() &&
-                             std::chrono::steady_clock::now() < deadline) {
+                      while (gated && !quick1_ran->load()) {
+                        if (std::chrono::steady_clock::now() >= deadline) return kPoleTimedOut;
                         std::this_thread::sleep_for(std::chrono::milliseconds(1));
                       }
-                      return std::size_t{1000};
+                      return kPoleDone;
                     },
                     std::nullopt, 100.0});
     for (std::size_t i = 0; i < 12; ++i) {
@@ -761,30 +765,20 @@ TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
     return jobs;
   };
 
-  SweepRunner<std::size_t> stealing(SweepOptions{2});
-  const auto stolen = stealing.run(make_jobs(/*gated=*/true));
-  EXPECT_GT(stealing.steals(), 0u);
-  const auto* steals_ctr = stealing.metrics().find_counter("sweep.steals");
-  ASSERT_NE(steals_ctr, nullptr);
-  EXPECT_EQ(steals_ctr->value(), stealing.steals());
+  SweepRunner<std::size_t> pool(SweepOptions{2});
+  const auto gated = pool.run(make_jobs(/*gated=*/true));
+  ASSERT_TRUE(gated[0].ok()) << gated[0].error;
+  EXPECT_EQ(gated[0].get(), kPoleDone);  // quick1 ran while the pole waited
 
-  // Without stealing (and on one thread) nothing could run quick1 while the
-  // pole waits, so these runs are ungated.
-  SweepOptions pinned{2};
-  pinned.steal = false;
-  SweepRunner<std::size_t> stranded(pinned);
-  const auto kept = stranded.run(make_jobs(/*gated=*/false));
-  EXPECT_EQ(stranded.steals(), 0u);
-
+  // On one thread nothing could run quick1 while the pole waits, so this
+  // run is ungated.
   SweepRunner<std::size_t> seq(SweepOptions{1});
   const auto serial = seq.run(make_jobs(/*gated=*/false));
 
-  ASSERT_EQ(stolen.size(), kept.size());
-  ASSERT_EQ(stolen.size(), serial.size());
-  for (std::size_t i = 0; i < stolen.size(); ++i) {
-    EXPECT_EQ(stolen[i].tag, kept[i].tag);
-    EXPECT_EQ(stolen[i].get(), kept[i].get());
-    EXPECT_EQ(stolen[i].get(), serial[i].get());
+  ASSERT_EQ(gated.size(), serial.size());
+  for (std::size_t i = 0; i < gated.size(); ++i) {
+    EXPECT_EQ(gated[i].tag, serial[i].tag);
+    EXPECT_EQ(gated[i].get(), serial[i].get());
   }
 }
 
