@@ -1,12 +1,16 @@
 // EXP-M0 — google-benchmark microbenchmarks of the substrate primitives:
 // event queue throughput, coroutine channel round trips, the max-min fair
-// solver, partition generation, a full small FRIEDA run per iteration,
-// and sweep-engine throughput (1 thread vs. a pool) on a fixed scenario
-// grid.
+// solver, partition generation, the master's per-arrival dispatch, a full
+// small FRIEDA run per iteration, and sweep-engine throughput (1 thread vs.
+// a pool) on a fixed scenario grid.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "exp/grid.hpp"
+#include "frieda/master_core.hpp"
 #include "frieda/partition.hpp"
 #include "frieda/run.hpp"
 #include "net/fairshare.hpp"
@@ -196,6 +200,49 @@ void BM_PartitionGenerate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartitionGenerate);
+
+void BM_MasterArrivalDispatch(benchmark::State& state) {
+  // One open-loop arrival per iteration at the master: enqueue the unit,
+  // top every worker up, then report the unit done.  Every worker holds one
+  // busy unit of two credits, so any worker could take the arrival; the
+  // cost per arrival should not grow with Arg(workers).
+  const auto workers = static_cast<core::WorkerId>(state.range(0));
+  constexpr std::size_t kArrivals = std::size_t{1} << 16;
+  std::vector<core::WorkUnit> units(workers + kArrivals);
+  for (std::size_t i = 0; i < units.size(); ++i) units[i].id = static_cast<core::WorkUnitId>(i);
+  core::WorkerId taker = 0;
+  core::MasterHooks hooks;
+  hooks.dispatch = [&taker](core::WorkerId w, core::WorkUnitId) { taker = w; };
+  hooks.release = [](core::WorkerId) {};
+  std::unique_ptr<core::MasterCore> master;
+  core::WorkUnitId next = 0;
+  const auto fresh = [&] {
+    master = std::make_unique<core::MasterCore>(units, core::MasterPolicy{.credits = 2}, hooks);
+    for (core::WorkerId w = 0; w < workers; ++w) {
+      master->add_worker();
+      master->assign_share(w, {w});  // the busy unit
+    }
+    master->top_up_all(0.0);
+    next = workers;
+  };
+  fresh();
+  double now = 0.0;
+  for (auto _ : state) {
+    if (next == units.size()) {
+      state.PauseTiming();
+      fresh();
+      state.ResumeTiming();
+    }
+    const core::WorkUnitId u = next++;
+    now += 1.0;
+    master->enqueue(u);
+    master->top_up_all(now);
+    master->on_status(taker, u, true, now);
+    benchmark::DoNotOptimize(taker);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MasterArrivalDispatch)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_FullFriedaRun(benchmark::State& state) {
   // A complete small real-time run per iteration: controller, master,

@@ -1,6 +1,7 @@
 #include "frieda/master_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/error.hpp"
@@ -21,19 +22,56 @@ MasterCore::MasterCore(const std::vector<WorkUnit>& units, MasterPolicy policy,
 }
 
 WorkerId MasterCore::add_worker() {
+  const auto w = static_cast<WorkerId>(workers_.size());
   workers_.emplace_back();
-  return static_cast<WorkerId>(workers_.size() - 1);
+  indexed_.push_back(0);
+  if (ready_.size() * 64 < workers_.size()) ready_.push_back(0);
+  reindex(w);
+  return w;
 }
 
 void MasterCore::assign_share(WorkerId w, const std::vector<WorkUnitId>& units) {
   workers_[w].share.assign(units.begin(), units.end());
+  reindex(w);
 }
 
 void MasterCore::enqueue(WorkUnitId u) { queue_.push_back(u); }
 
-bool MasterCore::any_live() const {
-  return std::any_of(workers_.begin(), workers_.end(),
-                     [](const Worker& ws) { return ws.live(); });
+void MasterCore::reindex(WorkerId w) {
+  const auto& ws = workers_[w];
+  std::uint8_t bits = 0;
+  if (ws.live()) {
+    bits = kLive;
+    if (ws.unacked < policy_.credits) {
+      bits |= kReady;
+      if (!ws.share.empty() || (policy_.release_idle && ws.unacked == 0)) bits |= kDue;
+    }
+  } else if (ws.draining && !ws.isolated && !ws.finished && ws.unacked == 0) {
+    bits = kReady | kDue;  // top_up releases it
+  }
+  const std::uint8_t old = std::exchange(indexed_[w], bits);
+  if (old == bits) return;
+  live_count_ += (bits & kLive) != 0;
+  live_count_ -= (old & kLive) != 0;
+  due_count_ += (bits & kDue) != 0;
+  due_count_ -= (old & kDue) != 0;
+  const std::uint64_t mask = std::uint64_t{1} << (w % 64);
+  if (bits & kReady) {
+    ready_[w / 64] |= mask;
+  } else {
+    ready_[w / 64] &= ~mask;
+  }
+}
+
+std::size_t MasterCore::next_ready(std::size_t from) const {
+  std::size_t i = from / 64;
+  if (i >= ready_.size()) return workers_.size();
+  std::uint64_t word = ready_[i] & (~std::uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++i == ready_.size()) return workers_.size();
+    word = ready_[i];
+  }
+  return i * 64 + static_cast<std::size_t>(std::countr_zero(word));
 }
 
 std::optional<WorkUnitId> MasterCore::next_unit_for(WorkerId w) {
@@ -88,6 +126,7 @@ void MasterCore::top_up(WorkerId w, double now) {
     ++ws.unacked;
     hooks_.dispatch(w, *unit);
   }
+  reindex(w);
   if (ws.unacked > 0 || all_terminal()) return;
   // Pre-partitioned without requeue: this worker's share is done.  Otherwise
   // it idles; a requeue tops it up again and finish() releases it.
@@ -95,9 +134,14 @@ void MasterCore::top_up(WorkerId w, double now) {
 }
 
 void MasterCore::top_up_all(double now) {
-  for (WorkerId w = 0; w < workers_.size(); ++w) {
-    if (finished_) return;
-    top_up(w, now);
+  // Walks the ready index in id order.  A worker that is not ready would
+  // do nothing in top_up, and with the queue empty neither would one that
+  // is not due, so the decisions are those of a walk over every worker.
+  for (std::size_t w = 0;; ++w) {
+    if (finished_ || (queue_.empty() && due_count_ == 0)) return;
+    w = next_ready(w);
+    if (w == workers_.size()) return;
+    top_up(static_cast<WorkerId>(w), now);
   }
 }
 
@@ -111,7 +155,7 @@ void MasterCore::on_status(WorkerId w, WorkUnitId u, bool ok, double now) {
 }
 
 void MasterCore::not_completed(WorkUnitId u, double now) {
-  if (policy_.requeue && records_[u].attempts < policy_.max_attempts && any_live()) {
+  if (policy_.requeue && records_[u].attempts < policy_.max_attempts && live_count_ > 0) {
     requeue(u, Requeue::kRetry);
     top_up_all(now);
     return;
@@ -127,6 +171,7 @@ void MasterCore::requeue(WorkUnitId u, Requeue why) {
     auto& ws = workers_[rec.worker];
     FRIEDA_CHECK(ws.unacked > 0, "in-flight accounting underflow");
     --ws.unacked;
+    reindex(rec.worker);
   }
   rec.status = UnitStatus::kPending;
   queue_.push_back(u);
@@ -141,6 +186,7 @@ void MasterCore::terminal(WorkUnitId u, UnitStatus status, double now) {
     auto& ws = workers_[rec.worker];
     FRIEDA_CHECK(ws.unacked > 0, "in-flight accounting underflow");
     --ws.unacked;
+    reindex(rec.worker);
   }
   rec.status = status;
   rec.finished = now;
@@ -151,6 +197,7 @@ void MasterCore::terminal(WorkUnitId u, UnitStatus status, double now) {
 
 void MasterCore::release(WorkerId w, double now) {
   workers_[w].finished = true;
+  reindex(w);
   hooks_.release(w);
   check_progress(now);
 }
@@ -167,6 +214,7 @@ void MasterCore::surrender(WorkUnitId u, double now) {
 void MasterCore::isolate(WorkerId w, double now) {
   if (workers_[w].isolated || finished_) return;
   workers_[w].isolated = true;
+  reindex(w);
   if (hooks_.isolated) hooks_.isolated(w);
   // Units in flight on this worker are lost with it.
   for (const auto& rec : records_) {
@@ -193,6 +241,7 @@ void MasterCore::drain(WorkerId w, double now, bool top_up) {
   if (ws.finished) return;  // already done with its share
   std::deque<WorkUnitId> share;
   share.swap(ws.share);
+  reindex(w);
   for (const auto u : share) {
     if (records_[u].status == UnitStatus::kPending) requeue(u, Requeue::kMoved);
   }
@@ -215,11 +264,12 @@ void MasterCore::withdraw_unlocal(double now) {
       }
     }
     workers_[w].share = std::move(keep);
+    reindex(w);
   }
 }
 
 void MasterCore::check_progress(double now) {
-  if (finished_ || any_live()) return;
+  if (finished_ || live_count_ > 0) return;
   // No worker can ever request again: pending units are unprocessable.
   for (const auto& rec : records_) {
     if (rec.status == UnitStatus::kPending) {
@@ -236,6 +286,7 @@ void MasterCore::finish() {
     auto& ws = workers_[w];
     if (ws.finished || ws.isolated) continue;
     ws.finished = true;
+    reindex(w);
     hooks_.release(w);
   }
   if (hooks_.finished) hooks_.finished();

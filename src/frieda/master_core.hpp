@@ -15,11 +15,15 @@
 //
 // Decision order is part of the contract: sweeps visit units in unit-id
 // order and workers in worker-id order, so a deterministic host produces a
-// deterministic event stream.  Hooks run synchronously inside the core's
-// calls; they may read the core but must not change it.
+// deterministic event stream.  The worker-id order of top_up_all comes from
+// an index of the workers that can act (a bitset over worker ids), so an
+// arrival's top-up visits the workers that can take it, not the whole fleet.
+// Hooks run synchronously inside the core's calls; they may read the core
+// but must not change it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -101,7 +105,9 @@ class MasterCore {
   /// Commit units to `w` up to its credit limit; release it when it is
   /// draining and idle, or idle with nothing left under `release_idle`.
   void top_up(WorkerId w, double now);
-  /// top_up every worker in id order.
+  /// top_up every worker in id order.  Only workers that can act are
+  /// visited, and the walk stops once the queue is empty and no worker has
+  /// a share entry or a release due: the skipped top-ups are no-ops.
   void top_up_all(double now);
   /// Worker `w` reported unit `u`: completed if `ok`, else a lost attempt.
   /// Then tops the worker up again.
@@ -142,7 +148,11 @@ class MasterCore {
   std::size_t queue_depth() const { return queue_.size(); }
 
  private:
-  bool any_live() const;
+  /// Re-derive worker `w`'s index entry; called wherever its unacked,
+  /// share, isolated, draining or finished state changes.
+  void reindex(WorkerId w);
+  /// The lowest worker id >= `from` that can act, or workers_.size().
+  std::size_t next_ready(std::size_t from) const;
   std::optional<WorkUnitId> next_unit_for(WorkerId w);
   void terminal(WorkUnitId u, UnitStatus status, double now);
   void requeue(WorkUnitId u, Requeue why);
@@ -155,6 +165,15 @@ class MasterCore {
   std::vector<UnitRecord> records_;
   std::vector<Worker> workers_;
   std::deque<WorkUnitId> queue_;  ///< shared dispatch queue
+  /// The dispatch index, one entry per worker.  A worker is ready when its
+  /// top_up can act: live with unacked < credits, or draining and idle.  It
+  /// is due when it is ready and acts even with an empty queue: draining, a
+  /// share entry left, or release_idle with nothing in flight.
+  enum : std::uint8_t { kLive = 1, kReady = 2, kDue = 4 };
+  std::vector<std::uint8_t> indexed_;  ///< kLive | kReady | kDue per worker
+  std::vector<std::uint64_t> ready_;   ///< kReady as a bitset over worker ids
+  std::size_t live_count_ = 0;
+  std::size_t due_count_ = 0;
   std::size_t terminal_count_ = 0;
   bool finished_ = false;
 };

@@ -65,11 +65,15 @@ TEST(Failure, IsolationWithoutRequeueLosesOnlyAffectedUnits) {
             report.units_total);
   // The paper's base system does NOT restart failed tasks (Section V.A).
   for (const auto& rec : report.units) {
-    if (rec.status == UnitStatus::kFailed) EXPECT_EQ(rec.attempts, 1);
+    if (rec.status == UnitStatus::kFailed) {
+      EXPECT_EQ(rec.attempts, 1);
+    }
   }
   // The surviving VM's workers kept processing after the failure.
   for (const auto& w : report.workers) {
-    if (w.vm == s.vms[0]) EXPECT_GT(w.units_completed, 5u);
+    if (w.vm == s.vms[0]) {
+      EXPECT_GT(w.units_completed, 5u);
+    }
   }
 }
 
@@ -141,7 +145,9 @@ TEST(Failure, ExhaustedAttemptsGoTerminalWithRequeueEnabled) {
             report.units_total);
   for (const auto& rec : report.units) {
     EXPECT_NE(rec.status, UnitStatus::kInFlight) << "unit " << rec.unit;
-    if (rec.status == UnitStatus::kFailed) EXPECT_EQ(rec.attempts, 1);
+    if (rec.status == UnitStatus::kFailed) {
+      EXPECT_EQ(rec.attempts, 1);
+    }
   }
 }
 
@@ -258,7 +264,9 @@ TEST(Elasticity, RemoveVmDrainsAndTerminates) {
   std::size_t survivor_units = 0;
   for (const auto& w : report.workers) {
     if (w.vm == s.vms[0]) survivor_units += w.units_completed;
-    if (w.vm == victim) EXPECT_TRUE(w.drained);
+    if (w.vm == victim) {
+      EXPECT_TRUE(w.drained);
+    }
   }
   EXPECT_GT(survivor_units, 20u);
 }
@@ -283,7 +291,9 @@ TEST(Elasticity, ElasticWorkerGetsNothingInPrePartitionMode) {
   const auto report = run.run();
   EXPECT_TRUE(report.all_completed());
   for (const auto& w : report.workers) {
-    if (w.worker >= 2) EXPECT_EQ(w.units_completed, 0u);
+    if (w.worker >= 2) {
+      EXPECT_EQ(w.units_completed, 0u);
+    }
   }
 }
 

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "frieda/run.hpp"
 
 namespace frieda::core {
@@ -226,6 +229,180 @@ TEST(MasterCore, UnitIdsMustBeDense) {
   empty.finish();
   EXPECT_EQ(script.released, (std::vector<WorkerId>{0}));
   EXPECT_EQ(script.finished, 1);
+}
+
+TEST(MasterCore, KickoffReleasesShareLessWorkersWithAnEmptyQueue) {
+  Script script;
+  MasterCore core(make_units(2), MasterPolicy{.release_idle = true}, script.hooks());
+  for (int i = 0; i < 4; ++i) core.add_worker();
+  core.assign_share(2, {0, 1});
+  core.top_up_all(0.0);
+  EXPECT_EQ(script.dispatched, (std::vector<std::pair<WorkerId, WorkUnitId>>{{2, 0}}));
+  EXPECT_EQ(script.released, (std::vector<WorkerId>{0, 1, 3}));
+}
+
+TEST(MasterCore, TopUpAllReleasesAnIdleDrainingWorkerWithAnEmptyQueue) {
+  Script script;
+  MasterCore core(make_units(1), MasterPolicy{}, script.hooks());
+  for (int i = 0; i < 3; ++i) core.add_worker();
+  core.enqueue(0);
+  core.top_up_all(0.0);  // worker 0 takes the only unit; the queue is empty
+  core.drain(2, 1.0, /*top_up=*/false);
+  EXPECT_TRUE(script.released.empty());
+  core.top_up_all(2.0);
+  EXPECT_EQ(script.released, (std::vector<WorkerId>{2}));
+  EXPECT_FALSE(core.worker(1).finished);  // idle but live: it waits for work
+}
+
+/// Seeded random scripts of every event the hosts send, checked against the
+/// dispatch-order contract: a unit from the shared queue goes to the
+/// lowest-id live worker with a free credit, and after top_up_all no worker
+/// that could act is left behind.
+class DispatchOrder {
+ public:
+  explicit DispatchOrder(std::uint64_t seed) : rng_(seed) {
+    policy_.credits = 1 + rng_.index(3);
+    policy_.requeue = rng_.chance(0.5);
+    policy_.release_idle = !policy_.requeue && rng_.chance(0.5);
+    policy_.max_attempts = 2;
+    owner_.assign(kUnits, kNoOwner);
+    MasterHooks hooks;
+    hooks.dispatch = [this](WorkerId w, WorkUnitId u) { check_dispatch(w, u); };
+    hooks.release = [](WorkerId) {};
+    hooks.requeued = [this](WorkUnitId u, Requeue) { owner_[u] = kNoOwner; };
+    hooks.inputs_local = [this](WorkerId w, WorkUnitId u) { return (w + u + salt_) % 3 != 0; };
+    core_ = std::make_unique<MasterCore>(make_units(kUnits), policy_, std::move(hooks));
+  }
+
+  void run() {
+    const std::size_t workers = 1 + rng_.index(8);
+    for (std::size_t w = 0; w < workers; ++w) add_worker();
+    // Deal a random prefix of the units as shares; the rest arrive later.
+    while (next_ < kUnits / 3) {
+      const auto w = static_cast<WorkerId>(rng_.index(workers));
+      std::vector<WorkUnitId> share(core_->worker(w).share.begin(),
+                                    core_->worker(w).share.end());
+      share.push_back(next_);
+      owner_[next_++] = w;
+      core_->assign_share(w, share);
+    }
+    top_up_all();
+    for (int step = 0; step < 400 && !core_->finished(); ++step) act();
+  }
+
+  std::size_t dispatches() const { return dispatches_; }
+
+ private:
+  static constexpr std::size_t kUnits = 120;
+  static constexpr WorkerId kNoOwner = ~WorkerId{0};
+
+  void act() {
+    const double roll = rng_.uniform();
+    if (roll < 0.35 && next_ < kUnits) {
+      core_->enqueue(next_++);
+      top_up_all();
+    } else if (roll < 0.8) {
+      std::vector<WorkUnitId> in_flight;
+      for (const auto& rec : core_->records()) {
+        if (rec.status == UnitStatus::kInFlight) in_flight.push_back(rec.unit);
+      }
+      if (in_flight.empty()) return;
+      const auto u = in_flight[rng_.index(in_flight.size())];
+      if (rng_.chance(0.9)) {
+        core_->on_status(core_->record(u).worker, u, rng_.chance(0.8), now());
+      } else {
+        core_->not_completed(u, now());  // a lost dispatch, as the hosts report it
+        top_up_all();
+      }
+    } else if (roll < 0.85) {
+      core_->isolate(random_worker(), now());
+    } else if (roll < 0.9) {
+      const auto w = random_worker();
+      if (!core_->worker(w).live()) return;
+      const bool top_up = rng_.chance(0.5);
+      core_->drain(w, now(), top_up);
+      if (!top_up) top_up_all();
+    } else if (roll < 0.96) {
+      add_worker();
+      top_up_all();
+    } else {
+      salt_ = rng_.index(3);
+      core_->withdraw_unlocal(now());
+      top_up_all();
+    }
+    if (!core_->finished()) check_nothing_left_behind();
+  }
+
+  void top_up_all() {
+    core_->top_up_all(now());
+    if (!core_->finished()) check_nothing_left_behind();
+  }
+
+  double now() { return clock_ += 1.0; }
+  void add_worker() {
+    EXPECT_EQ(core_->add_worker(), workers_);
+    ++workers_;
+  }
+  WorkerId random_worker() { return static_cast<WorkerId>(rng_.index(workers_)); }
+
+  bool has_free_credit(const MasterCore::Worker& ws) const {
+    return ws.live() && ws.unacked < policy_.credits;
+  }
+
+  // The hook runs inside the core's call, after the worker's credit was
+  // taken, so the scan sees every lower worker as the walk left it.
+  void check_dispatch(WorkerId w, WorkUnitId u) {
+    ++dispatches_;
+    const bool from_share = owner_[u] == w;
+    owner_[u] = kNoOwner;
+    for (WorkerId v = 0; v < w; ++v) {
+      const auto& ws = core_->worker(v);
+      if (!has_free_credit(ws)) continue;
+      EXPECT_TRUE(ws.share.empty()) << "worker " << v << " skipped its share";
+      EXPECT_TRUE(from_share) << "unit " << u << " from the queue went to worker " << w
+                              << " while worker " << v << " had a free credit";
+    }
+  }
+
+  // After a top-up walk, nobody who could act was skipped: a worker with a
+  // free credit leaves the queue empty and its share drained, an idle
+  // draining worker is released, and so is an idle one under release_idle.
+  void check_nothing_left_behind() const {
+    for (WorkerId w = 0; w < workers_; ++w) {
+      const auto& ws = core_->worker(w);
+      if (has_free_credit(ws)) {
+        EXPECT_EQ(core_->queue_depth(), 0u) << "worker " << w;
+        EXPECT_TRUE(ws.share.empty()) << "worker " << w;
+        if (policy_.release_idle && !core_->all_terminal()) {
+          EXPECT_GT(ws.unacked, 0u) << "worker " << w << " idles under release_idle";
+        }
+      }
+      if (ws.draining && !ws.isolated) {
+        EXPECT_TRUE(ws.finished || ws.unacked > 0) << "worker " << w << " idles draining";
+      }
+    }
+  }
+
+  Rng rng_;
+  MasterPolicy policy_;
+  std::unique_ptr<MasterCore> core_;
+  std::vector<WorkerId> owner_;  ///< the worker whose share holds a unit
+  WorkUnitId next_ = 0;          ///< the next unit not yet dealt or enqueued
+  std::size_t salt_ = 0;
+  std::size_t dispatches_ = 0;
+  WorkerId workers_ = 0;
+  double clock_ = 0.0;
+};
+
+TEST(MasterCore, RandomScriptsDispatchInWorkerIdOrder) {
+  std::size_t dispatches = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DispatchOrder script(seed);
+    script.run();
+    dispatches += script.dispatches();
+  }
+  EXPECT_GT(dispatches, 3000u);  // the scripts exercise the walk, not just setup
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ TEST(Sweep, CacheHitServesIdenticalReport) {
   EXPECT_EQ(runner.runs_requested(), 4u);
   EXPECT_EQ(runner.runs_executed(), 2u);
   EXPECT_EQ(runner.cache_hits(), 2u);
-  for (const auto [prime, twin] : {std::pair{blast, blast_twin}, std::pair{als, als_twin}}) {
+  for (const auto& [prime, twin] : {std::pair{blast, blast_twin}, std::pair{als, als_twin}}) {
     ASSERT_TRUE(out[prime].ok()) << out[prime].error;
     ASSERT_TRUE(out[twin].ok()) << out[twin].error;
     EXPECT_FALSE(out[prime].from_cache);
